@@ -72,6 +72,9 @@ def verify_mapping(g1: LabeledGraph, g2: LabeledGraph, l: int, h: int,
     for e in g1.sorted_edges():
         if e not in mapping.edge_path_map:
             raise ValueError(f"mapping is incomplete: pattern edge {e} unmapped")
+    extra = sorted(set(f) - set(g1.vertices))
+    if extra:
+        return VerificationResult(False, f"node map keys {extra} are not pattern vertices")
     for v in g1.vertices:
         if not 1 <= f[v] <= g2.n:
             return VerificationResult(False, f"image {f[v]} of pattern vertex {v} is not a data vertex")

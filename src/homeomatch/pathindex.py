@@ -3,11 +3,13 @@
 Holds every simple path of the data graph whose length lies in [l, h]
 and whose two ends are both candidate branch nodes; inner vertices are
 unrestricted.  Each undirected path is stored once, oriented from its
-smaller end, under a per-endpoint-pair list plus an alive counter (the
-pair counters form the independent-path count matrix consulted by the
-search).  Removal batches flip alive flags and return tokens; undoing
-tokens in reverse order restores the previous state exactly, which is
-what backtracking relies on.
+smaller end, under a per-endpoint-pair list.  The enumeration only
+records path tuples and pair lists; one bulk pass after it fills the
+alive flags, the per-pair alive counters (the independent-path count
+matrix consulted by the search), the reachability sets and the
+per-end and per-inner-vertex lists.  Removal batches flip alive flags
+and return tokens; undoing tokens in reverse order restores the
+previous state exactly, which is what backtracking relies on.
 
 A store belongs to exactly one search and is never mutated
 concurrently.  The maximum usable ``h`` is capped (default 6, env
@@ -18,9 +20,12 @@ grows exponentially with ``h``.
 from __future__ import annotations
 
 import os
+import time
+from collections import defaultdict
 from dataclasses import dataclass
 
 __all__ = [
+    "SearchTimeout",
     "DEFAULT_MAX_H",
     "length_cap",
     "check_length_window",
@@ -32,6 +37,10 @@ __all__ = [
 
 DEFAULT_MAX_H = 6
 _ENV_MAX_H = "HOMEOMATCH_MAX_H"
+
+
+class SearchTimeout(Exception):
+    """Raised when a configured deadline expires mid-search."""
 
 
 def length_cap(max_h: int | None = None) -> int:
@@ -71,60 +80,45 @@ def candidate_branch_nodes(matrix) -> tuple:
 class PathStore:
     """Path table plus endpoint-pair index with soft removal and undo.
 
-    Besides the pair counters, the store tracks per endpoint how many
-    distinct opposite endpoints of each label are still reachable by an
-    alive path, which gives the refinement an O(1) label-reachability
-    test.
+    Besides the pair counters, the store tracks per endpoint the set of
+    opposite endpoints still joined to it by an alive path, which gives
+    the refinement an O(1) reachability test.
     """
 
-    __slots__ = ("l", "h", "candidates", "labels", "_cand_set", "_verts",
-                 "_inner", "_alive", "alive_count", "by_pair", "_by_inner",
-                 "_by_end", "_pair_alive", "_reach_labels", "_reach")
+    __slots__ = ("l", "h", "candidates", "_cand_set", "_verts", "_alive",
+                 "alive_count", "by_pair", "_by_inner", "_by_end", "_pair_alive",
+                 "_reach")
 
-    def __init__(self, l: int, h: int, candidates, labels: dict[int, str]):
+    def __init__(self, l: int, h: int, candidates, verts: list[tuple[int, ...]],
+                 by_pair: dict[tuple[int, int], list[int]]):
+        """Index the enumerated paths in one pass; every path starts alive.
+
+        ``verts`` holds each path oriented from its smaller end, and
+        ``by_pair`` maps each end pair to its path ids, ascending.  Ids are
+        visited in ascending order, so every per-vertex list is ascending.
+        """
         self.l = l
         self.h = h
         self.candidates = tuple(sorted(candidates))
-        self.labels = dict(labels)
         self._cand_set = frozenset(self.candidates)
-        self._verts: list[tuple[int, ...]] = []
-        self._inner: list[frozenset] = []
-        self._alive = bytearray()
-        self.alive_count = 0
-        self.by_pair: dict[tuple[int, int], list[int]] = {}
-        self._by_inner: dict[int, list[int]] = {}
-        self._by_end: dict[int, list[int]] = {}
-        self._pair_alive: dict[tuple[int, int], int] = {}
-        self._reach_labels: dict[int, dict[str, int]] = {v: {} for v in self.candidates}
+        self._verts = verts
+        self.by_pair = by_pair
+        self._alive = bytearray(b"\x01") * len(verts)
+        self.alive_count = len(verts)
+        self._pair_alive = {key: len(pids) for key, pids in by_pair.items()}
         self._reach: dict[int, set[int]] = {v: set() for v in self.candidates}
-
-    def _reach_inc(self, u: int, w: int, delta: int):
-        for a, b in ((u, w), (w, u)):
-            counts = self._reach_labels[a]
-            lbl = self.labels[b]
-            counts[lbl] = counts.get(lbl, 0) + delta
-            if delta > 0:
-                self._reach[a].add(b)
-            else:
-                self._reach[a].discard(b)
-
-    def _add(self, verts: tuple[int, ...]):
-        pid = len(self._verts)
-        self._verts.append(verts)
-        inner = frozenset(verts[1:-1])
-        self._inner.append(inner)
-        self._alive.append(1)
-        self.alive_count += 1
-        key = (verts[0], verts[-1]) if verts[0] < verts[-1] else (verts[-1], verts[0])
-        self.by_pair.setdefault(key, []).append(pid)
-        count = self._pair_alive.get(key, 0) + 1
-        self._pair_alive[key] = count
-        if count == 1:
-            self._reach_inc(key[0], key[1], 1)
-        for x in verts[1:-1]:
-            self._by_inner.setdefault(x, []).append(pid)
-        self._by_end.setdefault(verts[0], []).append(pid)
-        self._by_end.setdefault(verts[-1], []).append(pid)
+        for u, w in by_pair:
+            self._reach[u].add(w)
+            self._reach[w].add(u)
+        by_end: defaultdict[int, list[int]] = defaultdict(list)
+        by_inner: defaultdict[int, list[int]] = defaultdict(list)
+        for pid, path in enumerate(verts):
+            by_end[path[0]].append(pid)
+            by_end[path[-1]].append(pid)
+            for x in path[1:-1]:
+                by_inner[x].append(pid)
+        self._by_end = dict(by_end)
+        self._by_inner = dict(by_inner)
 
     def __len__(self) -> int:
         return len(self._verts)
@@ -132,8 +126,8 @@ class PathStore:
     def vertices(self, pid: int) -> tuple[int, ...]:
         return self._verts[pid]
 
-    def inner(self, pid: int) -> frozenset:
-        return self._inner[pid]
+    def inner(self, pid: int) -> tuple[int, ...]:
+        return self._verts[pid][1:-1]
 
     def is_alive(self, pid: int) -> bool:
         return bool(self._alive[pid])
@@ -158,10 +152,6 @@ class PathStore:
         """Ids of all stored paths with v as an end (alive or not), ascending."""
         return self._by_end.get(v, [])
 
-    def label_reachable(self, v: int, lbl: str) -> bool:
-        """Whether some vertex labeled lbl is joined to v by an alive path."""
-        return self._reach_labels[v].get(lbl, 0) > 0
-
     def reachable_from(self, v: int) -> set[int]:
         """Vertices joined to v by at least one alive path; do not mutate."""
         return self._reach[v]
@@ -171,11 +161,12 @@ class PathStore:
             self._alive[pid] = 0
             self.alive_count -= 1
             v = self._verts[pid]
-            key = (v[0], v[-1]) if v[0] < v[-1] else (v[-1], v[0])
+            key = (v[0], v[-1])
             count = self._pair_alive[key] - 1
             self._pair_alive[key] = count
             if count == 0:
-                self._reach_inc(key[0], key[1], -1)
+                self._reach[key[0]].discard(key[1])
+                self._reach[key[1]].discard(key[0])
             killed.append(pid)
 
     def remove_paths_through_vertex(self, v: int) -> UndoToken:
@@ -196,7 +187,7 @@ class PathStore:
         if not self._alive[pid]:
             raise ValueError(f"path {pid} is not alive")
         killed: list[int] = []
-        for x in self._inner[pid]:
+        for x in self._verts[pid][1:-1]:
             for q in self._by_inner.get(x, ()):
                 if q != pid:
                     self._kill(q, killed)
@@ -210,29 +201,28 @@ class PathStore:
             self._alive[pid] = 1
             self.alive_count += 1
             v = self._verts[pid]
-            key = (v[0], v[-1]) if v[0] < v[-1] else (v[-1], v[0])
+            key = (v[0], v[-1])
             count = self._pair_alive[key] + 1
             self._pair_alive[key] = count
             if count == 1:
-                self._reach_inc(key[0], key[1], 1)
+                self._reach[key[0]].add(key[1])
+                self._reach[key[1]].add(key[0])
 
     def paths_independent(self, p: int, q: int) -> bool:
         """Neither path contains an inner vertex of the other (ends may coincide)."""
         pv, qv = self._verts[p], self._verts[q]
-        pi, qi = self._inner[p], self._inner[q]
-        for x in pi:
-            if x in qi or x == qv[0] or x == qv[-1]:
+        for x in pv[1:-1]:
+            if x in qv:
                 return False
-        for x in qi:
+        for x in qv[1:-1]:
             if x == pv[0] or x == pv[-1]:
                 return False
         return True
 
     def snapshot(self):
         """Fingerprint of the mutable state, for exact-restore checks."""
-        reach = {v: {k: n for k, n in c.items() if n} for v, c in self._reach_labels.items()}
         sets = {v: frozenset(s) for v, s in self._reach.items()}
-        return bytes(self._alive), dict(self._pair_alive), self.alive_count, reach, sets
+        return bytes(self._alive), dict(self._pair_alive), self.alive_count, sets
 
     def dump(self) -> str:
         """Debug text: one 'p <id> <v1> ... <vk>' line per alive path, ascending id."""
@@ -244,19 +234,25 @@ class PathStore:
 
 
 def enumerate_paths(g2, candidates, l: int, h: int,
-                    max_h: int | None = None) -> PathStore:
+                    max_h: int | None = None, deadline: float | None = None) -> PathStore:
     """All simple paths of length l..h between candidate pairs, each stored once.
 
     Bounded DFS from every candidate vertex; a path is emitted when the
     far end is a candidate with a larger id, which canonicalizes the
-    orientation.  Inner vertices may be non-candidates.
+    orientation.  Inner vertices may be non-candidates.  The DFS only
+    appends path tuples and pair lists; the ``PathStore`` constructor
+    builds the rest in one pass afterwards.  ``deadline``, a
+    ``time.monotonic`` value, is polled once per source vertex; past it,
+    ``SearchTimeout`` is raised.
     """
     check_length_window(l, h, max_h)
     for v in candidates:
         if not 1 <= v <= g2.n:
             raise ValueError(f"candidate {v} is not a vertex of the data graph")
-    store = PathStore(l, h, candidates, {v: g2.label(v) for v in candidates})
-    cand = store._cand_set
+    sources = tuple(sorted(candidates))
+    cand = frozenset(sources)
+    verts: list[tuple[int, ...]] = []
+    by_pair: dict[tuple[int, int], list[int]] = {}
     adj = g2._adj  # hot loop; skips the per-call bounds check of neighbors()
     path: list[int] = []
     on_path: set[int] = set()
@@ -269,16 +265,24 @@ def enumerate_paths(g2, candidates, l: int, h: int,
             path.append(w)
             on_path.add(w)
             if nd >= l and w > path[0] and w in cand:
-                store._add(tuple(path))
+                key = (path[0], w)
+                pids = by_pair.get(key)
+                if pids is None:
+                    by_pair[key] = [len(verts)]
+                else:
+                    pids.append(len(verts))
+                verts.append(tuple(path))
             if nd < h:
                 walk(w, nd)
             path.pop()
             on_path.remove(w)
 
-    for s in store.candidates:
+    for s in sources:
+        if deadline is not None and time.monotonic() > deadline:
+            raise SearchTimeout("path-index build exceeded its deadline")
         path.clear()
         path.append(s)
         on_path.clear()
         on_path.add(s)
         walk(s, 0)
-    return store
+    return PathStore(l, h, sources, verts, by_pair)

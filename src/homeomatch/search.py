@@ -45,7 +45,12 @@ from dataclasses import dataclass
 
 from .graph import LabeledGraph
 from .mapping import Mapping
-from .pathindex import candidate_branch_nodes, check_length_window, enumerate_paths
+from .pathindex import (
+    SearchTimeout,
+    candidate_branch_nodes,
+    check_length_window,
+    enumerate_paths,
+)
 
 __all__ = [
     "SearchTimeout",
@@ -62,10 +67,6 @@ __all__ = [
 ]
 
 STRATEGIES = ("ndshd1", "ndshd2")
-
-
-class SearchTimeout(Exception):
-    """Raised when a configured deadline expires mid-search."""
 
 
 class _WitnessBudgetExceeded(Exception):
@@ -255,7 +256,8 @@ class MatchState:
         check_length_window(l, h, config.max_h)
         matrix = CompatibleMatrix.initial(g1, g2)
         cands = candidate_branch_nodes(matrix)
-        store = enumerate_paths(g2, cands, l, h, max_h=config.max_h)
+        store = enumerate_paths(g2, cands, l, h, max_h=config.max_h,
+                                deadline=config.deadline)
         return cls(g1, g2, l, h, matrix, store, config)
 
     @property

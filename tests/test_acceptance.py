@@ -51,33 +51,51 @@ def test_acceptance_1_golden_example(worked_pattern, worked_data, worked_mapping
               f"documented mapping enumerated, false at (3,3)) in {elapsed:.3f}s", ok)
 
 
+def _oracle_check(seed, draw_window):
+    """(disagreed, bad witness count) of both strategies against the oracle.
+
+    One random instance inside the oracle's guard; ``draw_window(rng)``
+    draws its (l, h) window.
+    """
+    rng = random.Random(seed)
+    n1 = rng.randint(2, 5)
+    n2 = rng.randint(5, 12)
+    labels = rng.randint(2, 5)
+    l, h = draw_window(rng)
+    # the [2, 4] average-degree band applies to the data graph; the
+    # pattern density is clamped below its own vertex count
+    g1 = random_labeled_graph(n1, rng.uniform(1.0, min(3.0, n1 - 1)) if n1 > 1 else 0,
+                              labels, seed * 2 + 1)
+    g2 = random_labeled_graph(n2, rng.uniform(2.0, 4.0), labels, seed * 2)
+    expected = bool(brute_force_solve(g1, g2, l, h))
+    w1 = ndshd1(g1, g2, l, h)
+    w2 = ndshd2(g1, g2, l, h)
+    disagreed = not (expected == (w1 is not None) == (w2 is not None))
+    bad = sum(1 for w in (w1, w2) if w is not None and not verify_mapping(g1, g2, l, h, w))
+    return disagreed, bad
+
+
+def _wide_window(rng):
+    """A window with l > 1, up to the oracle's h <= 4."""
+    l = rng.randint(2, 3)
+    return l, rng.randint(l, 4)
+
+
 def test_acceptance_2_oracle_equivalence():
     t0 = time.perf_counter()
     disagreements = 0
     bad_witnesses = 0
-    count = 500
-    for seed in range(count):
-        rng = random.Random(seed)
-        n1 = rng.randint(2, 5)
-        n2 = rng.randint(5, 12)
-        labels = rng.randint(2, 5)
-        h = rng.randint(1, 3)
-        # the [2, 4] average-degree band applies to the data graph; the
-        # pattern density is clamped below its own vertex count
-        g1 = random_labeled_graph(n1, rng.uniform(1.0, min(3.0, n1 - 1)) if n1 > 1 else 0,
-                                  labels, seed * 2 + 1)
-        g2 = random_labeled_graph(n2, rng.uniform(2.0, 4.0), labels, seed * 2)
-        expected = bool(brute_force_solve(g1, g2, 1, h))
-        w1 = ndshd1(g1, g2, 1, h)
-        w2 = ndshd2(g1, g2, 1, h)
-        if not (expected == (w1 is not None) == (w2 is not None)):
-            disagreements += 1
-        for w in (w1, w2):
-            if w is not None and not verify_mapping(g1, g2, 1, h, w):
-                bad_witnesses += 1
+    count, wide_count = 500, 300
+    checks = [(seed, lambda rng: (1, rng.randint(1, 3))) for seed in range(count)]
+    checks += [(10_000 + seed, _wide_window) for seed in range(wide_count)]
+    for seed, draw_window in checks:
+        disagreed, bad = _oracle_check(seed, draw_window)
+        disagreements += disagreed
+        bad_witnesses += bad
     elapsed = time.perf_counter() - t0
     ok = disagreements == 0 and bad_witnesses == 0 and elapsed < 300
-    report(2, f"oracle equivalence on {count} instances "
+    report(2, f"oracle equivalence on {count} instances at l = 1 and {wide_count} "
+              f"at l in {{2, 3}}, h <= 4 "
               f"({disagreements} disagreements, {bad_witnesses} bad witnesses, "
               f"{elapsed:.1f}s)", ok)
 

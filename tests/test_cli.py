@@ -126,6 +126,14 @@ class TestVerify:
         assert rc == 1
         assert "independent" in out and "9" in out
 
+    def test_extra_node_map_key_is_exit_one(self, tmp_path, capsys):
+        bad = tmp_path / "extra.txt"
+        bad.write_text((DATA_DIR / "worked_mapping.txt").read_text() + "n 99 2\n")
+        rc = main(["verify", PATTERN, DATA, str(bad), "--l", "2", "--h", "2"])
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert "not pattern vertices" in out and "99" in out
+
     def test_truncated_mapping_is_exit_two(self, tmp_path, capsys):
         bad = tmp_path / "trunc.txt"
         lines = (DATA_DIR / "worked_mapping.txt").read_text().splitlines()

@@ -62,6 +62,14 @@ class TestVerifyMapping:
         result = verify_mapping(pattern, data, 1, 4, bad)
         assert not result and "simple" in result.reason
 
+    def test_extra_node_map_key_is_rejected(self, worked_pattern, worked_data,
+                                            worked_mapping):
+        # 99 is no pattern vertex; its image 2 is already the image of vertex 1
+        bad = Mapping({**worked_mapping.node_map, 99: 2}, dict(worked_mapping.edge_path_map))
+        result = verify_mapping(worked_pattern, worked_data, 2, 2, bad)
+        assert not result
+        assert "not pattern vertices" in result.reason and "99" in result.reason
+
     def test_incomplete_mapping_is_an_error(self, worked_pattern, worked_data,
                                             worked_mapping):
         with pytest.raises(ValueError, match="incomplete"):

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 
@@ -175,10 +176,11 @@ class TestRemovalAndUndo:
             store.path_count(2, 9)
 
     def test_lifo_undo_random_ops_restore_initial_state(self):
-        for seed in range(10):
+        for l, seed in itertools.product((1, 2, 3), range(10)):
             rng = random.Random(seed)
             g = random_labeled_graph(rng.randint(6, 12), 2.5, 2, seed)
-            store = enumerate_paths(g, tuple(g.vertices), 1, 3)
+            store = enumerate_paths(g, tuple(g.vertices), l, 3)
+            assert_derived_structures(store)
             initial = store.snapshot()
             stack = []
             for _ in range(100):
@@ -191,14 +193,33 @@ class TestRemovalAndUndo:
                     alive = [p for p in range(len(store)) if store.is_alive(p)]
                     if alive:
                         stack.append(store.remove_paths_conflicting_with(rng.choice(alive)))
-                # pair counters always agree with the alive lists
-                u = rng.randrange(1, g.n + 1)
-                w = rng.randrange(1, g.n + 1)
-                if u != w:
-                    assert store.pair_count(u, w) == len(store.alive_between(u, w))
+                assert_derived_structures(store)
             while stack:
                 store.undo(stack.pop())
-            assert store.snapshot() == initial, seed
+            assert store.snapshot() == initial, (l, seed)
+
+
+def assert_derived_structures(store):
+    """Check the structures the build's bulk pass fills against a full recount."""
+    ends = {v: [] for v in store.candidates}
+    reach = {v: set() for v in store.candidates}
+    alive_pairs = collections.Counter()
+    for pid in range(len(store)):
+        verts = store.vertices(pid)
+        u, w = verts[0], verts[-1]
+        ends[u].append(pid)
+        ends[w].append(pid)
+        if store.is_alive(pid):
+            reach[u].add(w)
+            reach[w].add(u)
+            alive_pairs[u, w] += 1
+    assert store.alive_count == sum(alive_pairs.values())
+    for v in store.candidates:
+        assert store.reachable_from(v) == reach[v], v
+        assert store.paths_ending_at(v) == ends[v], v
+    for u, w in itertools.combinations(store.candidates, 2):
+        count = store.pair_count(u, w)
+        assert count == len(store.alive_between(u, w)) == alive_pairs[u, w], (u, w)
 
 
 def test_dump_format(worked_pattern, worked_data):

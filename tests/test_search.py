@@ -1,7 +1,9 @@
 import random
+import time
 
 import pytest
 
+from homeomatch import pathindex, search
 from homeomatch import (
     LabeledGraph,
     Mapping,
@@ -292,6 +294,23 @@ class TestDetermination:
         cfg = SearchConfig(deadline=0.0)
         with pytest.raises(SearchTimeout):
             ndshd1(worked_pattern, worked_data, 2, 2, config=cfg)
+
+    def test_passed_deadline_raises_before_the_index_is_built(
+            self, worked_pattern, worked_data, monkeypatch):
+        built = []
+        real = search.enumerate_paths
+
+        def recording(*args, **kwargs):
+            built.append(real(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(search, "enumerate_paths", recording)
+        cfg = SearchConfig(deadline=time.monotonic() - 1.0)
+        for fn in (ndshd1, ndshd2):
+            with pytest.raises(SearchTimeout, match="path-index build"):
+                fn(worked_pattern, worked_data, 2, 2, config=cfg)
+        assert built == []
+        assert search.SearchTimeout is pathindex.SearchTimeout is SearchTimeout
 
 
 class TestEnumeration:
