@@ -254,35 +254,37 @@ def enumerate_paths(g2, candidates, l: int, h: int,
     verts: list[tuple[int, ...]] = []
     by_pair: dict[tuple[int, int], list[int]] = {}
     adj = g2._adj  # hot loop; skips the per-call bounds check of neighbors()
-    path: list[int] = []
-    on_path: set[int] = set()
-
-    def walk(v: int, depth: int):
-        for w in adj[v]:
-            if w in on_path:
-                continue
-            nd = depth + 1
-            path.append(w)
-            on_path.add(w)
-            if nd >= l and w > path[0] and w in cand:
-                key = (path[0], w)
-                pids = by_pair.get(key)
-                if pids is None:
-                    by_pair[key] = [len(verts)]
-                else:
-                    pids.append(len(verts))
-                verts.append(tuple(path))
-            if nd < h:
-                walk(w, nd)
-            path.pop()
-            on_path.remove(w)
-
+    # An explicit stack of neighbor iterators, one per path vertex whose
+    # neighbors are still being walked.  A recursive nested function would
+    # sit in a reference cycle with its own closure, which keeps the path
+    # table alive after the store is dropped, until some later cyclic
+    # garbage collection frees it.
     for s in sources:
         if deadline is not None and time.monotonic() > deadline:
             raise SearchTimeout("path-index build exceeded its deadline")
-        path.clear()
-        path.append(s)
-        on_path.clear()
-        on_path.add(s)
-        walk(s, 0)
+        path = [s]
+        on_path = {s}
+        stack = [iter(adj[s])]
+        while stack:
+            for w in stack[-1]:
+                if w in on_path:
+                    continue
+                path.append(w)
+                nd = len(path) - 1
+                if nd >= l and w > s and w in cand:
+                    key = (s, w)
+                    pids = by_pair.get(key)
+                    if pids is None:
+                        by_pair[key] = [len(verts)]
+                    else:
+                        pids.append(len(verts))
+                    verts.append(tuple(path))
+                if nd < h:
+                    on_path.add(w)
+                    stack.append(iter(adj[w]))
+                    break
+                path.pop()
+            else:
+                stack.pop()
+                on_path.remove(path.pop())
     return PathStore(l, h, sources, verts, by_pair)

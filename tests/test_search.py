@@ -1,3 +1,4 @@
+import gc
 import random
 import time
 
@@ -370,6 +371,22 @@ class TestSearchHygiene:
                 assert s.matrix.snapshot() == matrix_before
                 assert s.store.snapshot() == store_before
                 assert s.nm == [] and s.epm == [] and s.used_inner == set()
+
+    def test_calls_leave_no_cyclic_garbage(self, worked_pattern, worked_data):
+        # Everything a call builds, the path index above all, must be freed
+        # when the call returns, not at some later garbage collection.
+        calls = (lambda: ndshd1(worked_pattern, worked_data, 1, 3),
+                 lambda: ndshd2(worked_pattern, worked_data, 1, 3),
+                 lambda: list(enumerate_all(worked_pattern, worked_data, 1, 3)),
+                 lambda: list(enumerate_all(worked_pattern, worked_data, 1, 3, limit=1)))
+        gc.collect()
+        gc.disable()
+        try:
+            for i, call in enumerate(calls):
+                assert call() is not None
+                assert gc.collect() == 0, i
+        finally:
+            gc.enable()
 
     def test_monotone_matrix_under_validation(self, worked_pattern, worked_data):
         cfg = SearchConfig(validate=True)
