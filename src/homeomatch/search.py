@@ -13,7 +13,10 @@ another).  Two strategies share one engine:
   while the partial solution is still small.
 
 Both strategies are sound and complete and return the same boolean on
-every input; ``enumerate_all`` streams every distinct witness.
+every input; ``enumerate_all`` streams every distinct witness.  They run
+in one explicit-stack search loop (``_Engine``) whose depth is not
+bounded by Python's recursion limit; the strategy only decides which
+state follows a match.
 
 The search keeps two mutable structures per state: a binary candidate
 matrix (pattern rows over data columns, seeded by the label-and-degree
@@ -41,6 +44,7 @@ graphs are never modified.
 from __future__ import annotations
 
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .graph import LabeledGraph
@@ -536,33 +540,118 @@ def new_edges_emergent(state: MatchState, g1: LabeledGraph) -> list[tuple[int, i
     return out
 
 
+@dataclass(slots=True)
+class _Frame:
+    """A state that branches over the candidates of one pattern row or edge."""
+
+    phase: str
+    item: object
+    cands: Iterator[int]
+    edges: list | None = None  # ndshd2 edge frames: the emergent edges ...
+    k: int = 0  # ... and the index of ``item`` in them
+    pushed: bool = False  # a match for ``item`` is on the state
+
+
 class _Engine:
-    """Drives one search over a MatchState; collects stats, honors deadlines."""
+    """Drives one search over a MatchState; collects stats, honors deadlines.
+
+    Both strategies run in one loop over an explicit stack of frames, so
+    the search depth is not bounded by Python's recursion limit.  They
+    differ only in the state that follows a push: ``ndshd1`` stays at the
+    node level until every row is matched, then takes pending edges by
+    ``select_pending_edge``; ``ndshd2`` walks the ``new_edges_emergent``
+    list in order, then goes back to the node level.
+    """
 
     def __init__(self, state: MatchState, strategy: str, stats: SearchStats):
         if strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {strategy!r}")
         self.state = state
-        self.strategy = strategy
+        self.two_level = strategy == "ndshd1"
         self.stats = stats
         self._deadline = state.config.deadline
 
     def solutions(self):
         """Generator of complete mappings; closing it restores the state."""
-        state = self.state
-        root_snapshot = state.matrix.snapshot()
+        s = self.state
+        root_snapshot = s.matrix.snapshot()
+        stack: list[_Frame] = []
         try:
             # One refinement pass before the first selection settles most
             # unsatisfiable instances in a single scan instead of once per
             # root candidate; it is the same sound per-match refinement.
-            if state.config.refine_matrix:
-                state.refine_compatibility()
-            if self.strategy == "ndshd1":
-                yield from self._node_search1()
-            else:
-                yield from self._node_search2()
+            if s.config.refine_matrix:
+                s.refine_compatibility()
+            found = self._open(stack, "node", None, 0)
+            while True:
+                if found is not None:
+                    yield found
+                if not stack:
+                    return
+                frame = stack[-1]
+                if frame.pushed:  # the subtree below the match is exhausted
+                    frame.pushed = False
+                    self._backtracked()
+                    s.pop()
+                cand = next(frame.cands, None)
+                if cand is None:
+                    stack.pop()
+                    found = None
+                    continue
+                if frame.phase == "node":
+                    s.push_node_match(frame.item, cand)
+                    self._record("node")
+                    emergent = None if self.two_level else new_edges_emergent(s, s.g1)
+                    child = ("edge", emergent, 0) if emergent else ("node", None, 0)
+                else:
+                    s.push_path_match(frame.item, cand)
+                    self._record("edge")
+                    child = ("edge", frame.edges, frame.k + 1)
+                frame.pushed = True
+                found = self._open(stack, *child)
         finally:
-            state.matrix.restore(root_snapshot)
+            while stack:
+                if stack.pop().pushed:
+                    s.pop()
+            s.matrix.restore(root_snapshot)
+
+    def _open(self, stack, phase, edges, k) -> Mapping | None:
+        """Enter the root or the state after a push; stack its frame or return its mapping.
+
+        A state with nothing to choose enters the next one in the same
+        call: ``ndshd1``'s node level hands over to the edge level once
+        every row is matched, ``ndshd2``'s edge level back to the node level.
+        """
+        s = self.state
+        two_level = self.two_level
+        while True:
+            self._enter()
+            if phase == "node":
+                if not two_level and s.is_success():
+                    return self._solution()
+                if s.is_dead("node") or s.is_dead("edge"):
+                    return None
+                vi = s.select_row()
+                if vi is not None:
+                    stack.append(_Frame("node", vi, iter(s.node_candidates(vi))))
+                    return None
+                if not two_level:
+                    return None
+                phase = "edge"
+                continue
+            if s.is_dead("edge") or (not two_level and s.is_dead("node")):
+                return None
+            if two_level:
+                edge = s.select_pending_edge()
+                if edge is None:
+                    return self._solution()
+            elif k < len(edges):
+                edge = edges[k]
+            else:
+                phase = "node"
+                continue
+            stack.append(_Frame("edge", edge, iter(s.path_candidates(edge)), edges, k))
+            return None
 
     def _enter(self):
         self.stats.states_explored += 1
@@ -594,123 +683,41 @@ class _Engine:
             edge_paths[edge] = verts
         return Mapping(node_map, dict(sorted(edge_paths.items())))
 
-    # two-level strategy ----------------------------------------------
 
-    def _node_search1(self):
-        self._enter()
-        s = self.state
-        if s.is_dead("node") or s.is_dead("edge"):
-            return
-        vi = s.select_row()
-        if vi is None:
-            yield from self._edge_search1()
-            return
-        for vj in s.node_candidates(vi):
-            s.push_node_match(vi, vj)
-            self._record("node")
-            completed = False
-            try:
-                yield from self._node_search1()
-                completed = True
-            finally:
-                if completed:
-                    self._backtracked()
-                s.pop()
-
-    def _edge_search1(self):
-        self._enter()
-        s = self.state
-        if s.is_dead("edge"):
-            return
-        edge = s.select_pending_edge()
-        if edge is None:
-            yield self._solution()
-            return
-        for pid in s.path_candidates(edge):
-            s.push_path_match(edge, pid)
-            self._record("edge")
-            completed = False
-            try:
-                yield from self._edge_search1()
-                completed = True
-            finally:
-                if completed:
-                    self._backtracked()
-                s.pop()
-
-    # interleaved strategy ----------------------------------------------
-
-    def _node_search2(self):
-        self._enter()
-        s = self.state
-        if s.is_success():
-            yield self._solution()
-            return
-        if s.is_dead("node") or s.is_dead("edge"):
-            return
-        vi = s.select_row()
-        if vi is None:
-            return
-        for vj in s.node_candidates(vi):
-            s.push_node_match(vi, vj)
-            self._record("node")
-            emergent = new_edges_emergent(s, s.g1)
-            completed = False
-            try:
-                if emergent:
-                    yield from self._edge_search2(emergent, 0)
-                else:
-                    yield from self._node_search2()
-                completed = True
-            finally:
-                if completed:
-                    self._backtracked()
-                s.pop()
-
-    def _edge_search2(self, edges, k):
-        self._enter()
-        s = self.state
-        if s.is_dead("edge") or s.is_dead("node"):
-            return
-        if k == len(edges):
-            yield from self._node_search2()
-            return
-        edge = edges[k]
-        for pid in s.path_candidates(edge):
-            s.push_path_match(edge, pid)
-            self._record("edge")
-            completed = False
-            try:
-                yield from self._edge_search2(edges, k + 1)
-                completed = True
-            finally:
-                if completed:
-                    self._backtracked()
-                s.pop()
-
-
-def _first_solution(g1, g2, l, h, strategy, config, stats) -> Mapping | None:
+def _witnesses(g1, g2, l, h, strategy, config, stats):
+    """Window check, empty graphs and timed set-up and search of one call."""
     stats = stats if stats is not None else SearchStats()
     cfg = config or SearchConfig()
     check_length_window(l, h, cfg.max_h)
     if g1.n == 0:
         stats.outcome = True
-        return Mapping({}, {})
+        yield Mapping({}, {})
+        return
     if g2.n == 0:
         stats.outcome = False
-        return None
+        return
     t0 = time.perf_counter()
     state = MatchState.create(g1, g2, l, h, cfg)
     stats.setup_time = time.perf_counter() - t0
     gen = _Engine(state, strategy, stats).solutions()
+    emitted = 0
     t1 = time.perf_counter()
     try:
-        result = next(gen, None)
+        for mapping in gen:
+            emitted += 1
+            yield mapping
     finally:
         gen.close()
         stats.wall_time = time.perf_counter() - t1
-    stats.outcome = result is not None
-    return result
+        stats.outcome = emitted > 0
+
+
+def _first_solution(g1, g2, l, h, strategy, config, stats) -> Mapping | None:
+    run = _witnesses(g1, g2, l, h, strategy, config, stats)
+    try:
+        return next(run, None)
+    finally:
+        run.close()
 
 
 def ndshd1(g1: LabeledGraph, g2: LabeledGraph, l: int, h: int, *,
@@ -748,29 +755,11 @@ def enumerate_all(g1: LabeledGraph, g2: LabeledGraph, l: int, h: int, *,
     """
     if limit is not None and limit <= 0:
         return
-    stats = stats if stats is not None else SearchStats()
-    cfg = config or SearchConfig()
-    check_length_window(l, h, cfg.max_h)
-    if g1.n == 0:
-        stats.outcome = True
-        yield Mapping({}, {})
-        return
-    if g2.n == 0:
-        stats.outcome = False
-        return
-    t0 = time.perf_counter()
-    state = MatchState.create(g1, g2, l, h, cfg)
-    stats.setup_time = time.perf_counter() - t0
-    gen = _Engine(state, strategy, stats).solutions()
-    emitted = 0
-    t1 = time.perf_counter()
+    run = _witnesses(g1, g2, l, h, strategy, config, stats)
     try:
-        for mapping in gen:
-            emitted += 1
+        for emitted, mapping in enumerate(run, 1):
             yield mapping
-            if limit is not None and emitted >= limit:
-                break
+            if emitted == limit:
+                return
     finally:
-        gen.close()
-        stats.wall_time = time.perf_counter() - t1
-        stats.outcome = emitted > 0
+        run.close()

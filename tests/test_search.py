@@ -1,14 +1,17 @@
 import gc
 import random
+import sys
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from homeomatch import pathindex, search
 from homeomatch import (
     LabeledGraph,
     Mapping,
     MatchState,
+    plant_subdivision,
     SearchConfig,
     SearchStats,
     SearchTimeout,
@@ -337,16 +340,18 @@ class TestEnumeration:
         assert list(enumerate_all(pattern, data, 1, 1, limit=0)) == []
 
     def test_no_duplicates_and_matches_oracle_sets(self):
+        windows = ((1, 2), (2, 2), (2, 3), (2, 4), (3, 3), (3, 4))
         for seed in range(25):
             rng = random.Random(seed)
             g1 = random_labeled_graph(rng.randint(2, 4), 1.5, 3, seed + 3)
             g2 = random_labeled_graph(rng.randint(5, 10), 2.5, 3, seed + 11)
-            oracle = {m.canonical_key() for m in brute_force_solve(g1, g2, 1, 2)}
-            for strat in ("ndshd1", "ndshd2"):
-                got = [m.canonical_key()
-                       for m in enumerate_all(g1, g2, 1, 2, strategy=strat)]
-                assert len(got) == len(set(got)), seed
-                assert set(got) == oracle, seed
+            for l, h in windows:
+                oracle = {m.canonical_key() for m in brute_force_solve(g1, g2, l, h)}
+                for strat in ("ndshd1", "ndshd2"):
+                    got = [m.canonical_key()
+                           for m in enumerate_all(g1, g2, l, h, strategy=strat)]
+                    assert len(got) == len(set(got)), (seed, l, h)
+                    assert set(got) == oracle, (seed, l, h)
 
     def test_every_emitted_mapping_verifies(self, worked_pattern, worked_data):
         for m in enumerate_all(worked_pattern, worked_data, 1, 3):
@@ -408,6 +413,53 @@ class TestSearchHygiene:
                                                   config=SearchConfig(**kw))}
                     assert got == base, (seed, kw, strat)
 
+    # (call, l, h, outcome, recursion_calls, states_explored, max_depth,
+    #  backtracks, mean_backtrack_depth, trace as phase initial + depth per
+    #  attempted match), recorded from the recursive engine on the worked
+    #  example.  The engine must keep its call order: every state entry,
+    #  attempted match and backtrack lands on the same count.
+    GOLDEN_STATS = [
+        ("ndshd1", 2, 2, True, 9, 11, 9, 0, 0.0, "n1 n2 n3 n4 e5 e6 e7 e8 e9"),
+        ("ndshd2", 2, 2, True, 9, 13, 9, 0, 0.0, "n1 n2 e3 n4 e5 e6 n7 e8 e9"),
+        ("enumerate_all", 2, 2, True, 10, 14, 9, 10, 4.8, "n1 n2 e3 n4 e5 e6 n7 e8 e9 e3"),
+        ("ndshd1", 3, 3, False, 0, 1, 0, 0, 0.0, ""),
+        ("ndshd2", 3, 3, False, 0, 1, 0, 0, 0.0, ""),
+        ("enumerate_all", 3, 3, False, 0, 1, 0, 0, 0.0, ""),
+        ("ndshd1", 1, 3, True, 9, 11, 9, 0, 0.0, "n1 n2 n3 n4 e5 e6 e7 e8 e9"),
+        ("ndshd2", 1, 3, True, 9, 13, 9, 0, 0.0, "n1 n2 e3 n4 e5 e6 n7 e8 e9"),
+        ("enumerate_all", 1, 3, True, 27, 37, 9, 27, 6.666667,
+         "n1 n2 e3 n4 e5 e6 n7 e8 e9 n7 e8 e9 n7 e8 e9 n4 e5 e6 n7 e8 e9 n7 e8 e9 n7 e8 e9"),
+        ("enumerate_all/ndshd1", 1, 3, True, 40, 47, 9, 40, 6.075,
+         "n1 n2 n3 n4 e5 e6 e7 e8 e9 n4 e5 e6 e7 e8 e9 n4 e5 e6 e7 e8 e9 "
+         "n3 n4 e5 e6 e7 e8 e9 n4 e5 e6 e7 e8 e9 n4 e5 e6 e7 e8 e9"),
+    ]
+
+    @pytest.mark.parametrize("call,l,h,outcome,calls,states,max_depth,backtracks,mean_bt,trace",
+                             GOLDEN_STATS)
+    def test_golden_stats_pin_the_call_order(self, worked_pattern, worked_data, call, l, h,
+                                             outcome, calls, states, max_depth, backtracks,
+                                             mean_bt, trace):
+        stats = SearchStats(trace=[])
+        if call == "ndshd1":
+            ndshd1(worked_pattern, worked_data, l, h, stats=stats)
+        elif call == "ndshd2":
+            ndshd2(worked_pattern, worked_data, l, h, stats=stats)
+        else:
+            strategy = call.partition("/")[2] or "ndshd2"
+            list(enumerate_all(worked_pattern, worked_data, l, h, strategy=strategy,
+                               stats=stats))
+        steps = trace.split()
+        assert stats.as_dict(include_timing=False) == {
+            "outcome": outcome,
+            "recursion_calls": calls,
+            "states_explored": states,
+            "max_depth": max_depth,
+            "backtracks": backtracks,
+            "mean_backtrack_depth": mean_bt,
+            "trace": [[i, int(step[1:]), "node" if step[0] == "n" else "edge"]
+                      for i, step in enumerate(steps, 1)],
+        }
+
     def test_deterministic_stats_and_witnesses(self, worked_pattern, worked_data):
         runs = []
         for _ in range(2):
@@ -435,3 +487,68 @@ class TestSearchHygiene:
             g2 = random_labeled_graph(rng.randint(6, 14), 3.0, 4, seed + 17)
             h = rng.randint(1, 3)
             assert (ndshd1(g1, g2, 1, h) is None) == (ndshd2(g1, g2, 1, h) is None), seed
+
+    def test_depth_is_not_bounded_by_the_recursion_limit(self):
+        # A planted path pattern nests one search state per node and edge
+        # match, about 300 here; the search must find it with far fewer
+        # interpreter frames than that to spare.
+        n = 150
+        rng = random.Random(n)
+        pattern = LabeledGraph(n, {v: f"L{rng.randrange(7)}" for v in range(1, n + 1)},
+                               [(v, v + 1) for v in range(1, n)])
+        data = plant_subdivision(pattern, 1, 2, padding=50, seed=n)
+        calls = (lambda: ndshd1(pattern, data, 1, 2),
+                 lambda: ndshd2(pattern, data, 1, 2),
+                 lambda: next(enumerate_all(pattern, data, 1, 2, limit=1), None))
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 100)
+        try:
+            witnesses = [call() for call in calls]
+        finally:
+            sys.setrecursionlimit(limit)
+        for w in witnesses:
+            assert w is not None
+            assert verify_mapping(pattern, data, 1, 2, w)
+
+
+@st.composite
+def _instances(draw):
+    """A small random instance inside the brute-force oracle's guard."""
+    seed = draw(st.integers(0, 2**16))
+    n1 = draw(st.integers(2, 4))
+    labels = draw(st.integers(2, 4))
+    l = draw(st.integers(1, 3))
+    h = draw(st.integers(l, 4))
+    g1 = random_labeled_graph(n1, min(1.5, n1 - 1), labels, 2 * seed + 1)
+    g2 = random_labeled_graph(draw(st.integers(5, 9)), draw(st.sampled_from([2.0, 3.0])),
+                              labels, 2 * seed)
+    return g1, g2, l, h
+
+
+_CONFIGS = st.builds(
+    SearchConfig,
+    order=st.sampled_from(["mcf", "ascending"]),
+    prune_through_matched=st.booleans(),
+    prune_conflicts=st.booleans(),
+    refine_matrix=st.booleans(),
+    witness_cap=st.sampled_from([0, 1, SearchConfig.witness_cap]),
+)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(instance=_instances(), config=_CONFIGS)
+def test_strategies_and_oracle_agree_under_every_config(instance, config):
+    g1, g2, l, h = instance
+    oracle = {m.canonical_key() for m in brute_force_solve(g1, g2, l, h)}
+    for fn in (ndshd1, ndshd2):
+        w = fn(g1, g2, l, h, config=config)
+        assert (w is not None) == bool(oracle)
+        assert w is None or w.canonical_key() in oracle
+    for strategy in ("ndshd1", "ndshd2"):
+        got = [m.canonical_key() for m in enumerate_all(g1, g2, l, h, strategy=strategy,
+                                                        config=config)]
+        assert len(got) == len(set(got))
+        assert set(got) == oracle
