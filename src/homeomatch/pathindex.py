@@ -8,8 +8,11 @@ records path tuples and pair lists; one bulk pass after it fills the
 alive flags, the per-pair alive counters (the independent-path count
 matrix consulted by the search), the reachability sets and the
 per-end and per-inner-vertex lists.  Removal batches flip alive flags
-and return tokens; undoing tokens in reverse order restores the
-previous state exactly, which is what backtracking relies on.
+and return tokens; undoing tokens in reverse order restores the alive
+flags, counters and reachability sets exactly, which is what
+backtracking relies on.  A batch clock and a per-end stamp record when
+the alive paths at each end last changed; they only grow, so a reader
+can tell that nothing at an end changed since it last looked.
 
 A store belongs to exactly one search and is never mutated
 concurrently.  The maximum usable ``h`` is capped (default 6, env
@@ -83,11 +86,16 @@ class PathStore:
     Besides the pair counters, the store tracks per endpoint the set of
     opposite endpoints still joined to it by an alive path, which gives
     the refinement an O(1) reachability test.
+
+    ``clock`` counts batches: each ``remove_paths_*`` call and each
+    ``undo`` advances it by one.  ``stamps[v]`` is the clock of the last
+    batch that killed or revived a path ending at ``v`` (0 if none did).
+    Undo does not roll either back.
     """
 
     __slots__ = ("l", "h", "candidates", "_cand_set", "_verts", "_alive",
                  "alive_count", "by_pair", "_by_inner", "_by_end", "_pair_alive",
-                 "_reach")
+                 "_reach", "clock", "stamps")
 
     def __init__(self, l: int, h: int, candidates, verts: list[tuple[int, ...]],
                  by_pair: dict[tuple[int, int], list[int]]):
@@ -119,6 +127,8 @@ class PathStore:
                 by_inner[x].append(pid)
         self._by_end = dict(by_end)
         self._by_inner = dict(by_inner)
+        self.clock = 0
+        self.stamps = [0] * (self.candidates[-1] + 1 if self.candidates else 1)
 
     def __len__(self) -> int:
         return len(self._verts)
@@ -156,25 +166,31 @@ class PathStore:
         """Vertices joined to v by at least one alive path; do not mutate."""
         return self._reach[v]
 
-    def _kill(self, pid: int, killed: list[int]):
-        if self._alive[pid]:
-            self._alive[pid] = 0
-            self.alive_count -= 1
-            v = self._verts[pid]
-            key = (v[0], v[-1])
-            count = self._pair_alive[key] - 1
-            self._pair_alive[key] = count
-            if count == 0:
-                self._reach[key[0]].discard(key[1])
-                self._reach[key[1]].discard(key[0])
-            killed.append(pid)
+    def _kill_all(self, pid_lists, keep: int = -1) -> UndoToken:
+        """Deactivate, as one batch, every alive path in the lists but ``keep``."""
+        self.clock = clock = self.clock + 1
+        alive, verts, pair_alive = self._alive, self._verts, self._pair_alive
+        reach, stamps = self._reach, self.stamps
+        killed: list[int] = []
+        for pids in pid_lists:
+            for pid in pids:
+                if alive[pid] and pid != keep:
+                    alive[pid] = 0
+                    v = verts[pid]
+                    u, w = v[0], v[-1]
+                    count = pair_alive[u, w] - 1
+                    pair_alive[u, w] = count
+                    if count == 0:
+                        reach[u].discard(w)
+                        reach[w].discard(u)
+                    stamps[u] = stamps[w] = clock
+                    killed.append(pid)
+        self.alive_count -= len(killed)
+        return UndoToken(tuple(killed))
 
     def remove_paths_through_vertex(self, v: int) -> UndoToken:
         """Deactivate every alive path having v strictly inside; ends untouched."""
-        killed: list[int] = []
-        for pid in self._by_inner.get(v, ()):
-            self._kill(pid, killed)
-        return UndoToken(tuple(killed))
+        return self._kill_all((self._by_inner.get(v, ()),))
 
     def remove_paths_conflicting_with(self, pid: int) -> UndoToken:
         """Deactivate every other alive path that touches an inner vertex of this one.
@@ -186,27 +202,27 @@ class PathStore:
             raise ValueError(f"no path with id {pid}")
         if not self._alive[pid]:
             raise ValueError(f"path {pid} is not alive")
-        killed: list[int] = []
+        lists = []
         for x in self._verts[pid][1:-1]:
-            for q in self._by_inner.get(x, ()):
-                if q != pid:
-                    self._kill(q, killed)
-            for q in self._by_end.get(x, ()):
-                if q != pid:
-                    self._kill(q, killed)
-        return UndoToken(tuple(killed))
+            lists.append(self._by_inner.get(x, ()))
+            lists.append(self._by_end.get(x, ()))
+        return self._kill_all(lists, keep=pid)
 
     def undo(self, token: UndoToken):
+        self.clock = clock = self.clock + 1
+        alive, verts, pair_alive = self._alive, self._verts, self._pair_alive
+        reach, stamps = self._reach, self.stamps
         for pid in reversed(token.killed):
-            self._alive[pid] = 1
-            self.alive_count += 1
-            v = self._verts[pid]
-            key = (v[0], v[-1])
-            count = self._pair_alive[key] + 1
-            self._pair_alive[key] = count
+            alive[pid] = 1
+            v = verts[pid]
+            u, w = v[0], v[-1]
+            count = pair_alive[u, w] + 1
+            pair_alive[u, w] = count
             if count == 1:
-                self._reach[key[0]].add(key[1])
-                self._reach[key[1]].add(key[0])
+                reach[u].add(w)
+                reach[w].add(u)
+            stamps[u] = stamps[w] = clock
+        self.alive_count += len(token.killed)
 
     def paths_independent(self, p: int, q: int) -> bool:
         """Neither path contains an inner vertex of the other (ends may coincide)."""
@@ -220,7 +236,10 @@ class PathStore:
         return True
 
     def snapshot(self):
-        """Fingerprint of the mutable state, for exact-restore checks."""
+        """Fingerprint of the state that undo restores, for exact-restore checks.
+
+        The clock and the stamps are left out: they only grow.
+        """
         sets = {v: frozenset(s) for v, s in self._reach.items()}
         return bytes(self._alive), dict(self._pair_alive), self.alive_count, sets
 

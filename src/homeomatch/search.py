@@ -36,9 +36,12 @@ futile exploration:
   pattern edges.
 
 Backtracking restores state exactly: the matrix is snapshotted per
-state, the path store is rolled back through undo tokens in reverse
-order.  A search owns its state and is single-threaded; the input
-graphs are never modified.
+state, the path store's alive flags, counters and reachability sets are
+rolled back through undo tokens in reverse order.  Only the store's
+batch clock and per-end stamps and the refinement's record of verified
+cells outlive a pop; they only grow and never change a result.  A
+search owns its state and is single-threaded; the input graphs are
+never modified.
 """
 
 from __future__ import annotations
@@ -232,8 +235,10 @@ class MatchState:
     """One mutable search state: partial matches plus refined matrix and store.
 
     All mutation goes through ``push_node_match`` / ``push_path_match``
-    and is undone exactly by ``pop()``; a fully popped state is
-    bit-identical to the freshly created one.
+    and is undone exactly by ``pop()``; a fully popped state has the
+    matrix, matches and store contents of the freshly created one.  The
+    store's clock and stamps and the record of verified cells are not
+    rolled back: they only grow, and no result depends on their values.
     """
 
     def __init__(self, g1: LabeledGraph, g2: LabeledGraph, l: int, h: int,
@@ -252,6 +257,8 @@ class MatchState:
         self.path_of_edge: dict[tuple[int, int], int] = {}
         self.used_inner: set[int] = set()
         self._trail: list = []
+        # pattern row -> (neighbour key, store clock, cells kept) of its last scan
+        self._verified: dict[int, tuple] = {}
 
     @classmethod
     def create(cls, g1: LabeledGraph, g2: LabeledGraph, l: int, h: int,
@@ -290,7 +297,7 @@ class MatchState:
         if cfg.prune_through_matched:
             tokens.append(self.store.remove_paths_through_vertex(vj))
         if cfg.refine_matrix:
-            self.refine_compatibility(hints=(vi,))
+            self._refine_pushed(hints=(vi,))
         if cfg.validate:
             assert self.matrix.ones() <= ones_before
 
@@ -320,9 +327,17 @@ class MatchState:
                     if i not in self.node_image:
                         rows[i].difference_update(inner)
         if cfg.refine_matrix:
-            self.refine_compatibility(hints=edge)
+            self._refine_pushed(hints=edge)
         if cfg.validate:
             assert self.matrix.ones() <= ones_before
+
+    def _refine_pushed(self, hints):
+        """Refine after a push; a refinement cut by the deadline undoes the push."""
+        try:
+            self.refine_compatibility(hints=hints)
+        except SearchTimeout:
+            self.pop()
+            raise
 
     def pop(self):
         """Undo the most recent push exactly."""
@@ -442,6 +457,13 @@ class MatchState:
         Rows adjacent to the ``hints`` vertices are scanned first and
         the scan stops once a row empties, because the state is then
         dead and about to be discarded anyway.
+
+        A cell's verdict depends only on its neighbours' images or rows,
+        the witness cap and the alive paths ending at its column.  Each
+        scanned row therefore records its neighbour key, the store clock
+        and the cells it kept; a later scan with the same key re-checks
+        only the cells it did not keep or whose column's stamp is newer.
+        The configured deadline is polled once per row.
         """
         g1 = self.g1
         rows = self.matrix.rows
@@ -454,23 +476,41 @@ class MatchState:
                     seen.add(u)
                     order.append(u)
         order.extend(i for i in range(1, g1.n + 1) if i not in img and i not in seen)
+        store = self.store
+        stamps = store.stamps
+        verified = self._verified
+        deadline = self.config.deadline
         for vi in order:
+            if deadline is not None and time.monotonic() > deadline:
+                raise SearchTimeout("matrix refinement exceeded its deadline")
             row = rows[vi]
             if not row:
                 return
             matched_images = []
             neighbor_rows = []
+            key = []
             for u in g1.neighbors(vi):
                 fu = img.get(u)
                 if fu is not None:
                     matched_images.append(fu)
+                    key.append(fu)
                 else:
                     neighbor_rows.append(rows[u])
+                    key.append(frozenset(rows[u]))
             if not matched_images and not neighbor_rows:
                 continue
+            key = tuple(key)
+            last = verified.get(vi)
+            if last is not None and last[0] == key:
+                _, clock, kept = last
+            else:
+                clock, kept = 0, ()
             for vj in sorted(row):
+                if vj in kept and stamps[vj] <= clock:
+                    continue
                 if not self._cell_supported(vj, matched_images, neighbor_rows):
                     row.discard(vj)
+            verified[vi] = (key, store.clock, frozenset(row))
             if not row:
                 return
 

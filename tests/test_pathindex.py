@@ -180,7 +180,8 @@ class TestRemovalAndUndo:
             rng = random.Random(seed)
             g = random_labeled_graph(rng.randint(6, 12), 2.5, 2, seed)
             store = enumerate_paths(g, tuple(g.vertices), l, 3)
-            assert_derived_structures(store)
+            assert store.clock == 0 and not any(store.stamps)
+            last = assert_derived_structures(store)
             initial = store.snapshot()
             stack = []
             for _ in range(100):
@@ -191,17 +192,26 @@ class TestRemovalAndUndo:
                         rng.randrange(1, g.n + 1)))
                 else:
                     alive = [p for p in range(len(store)) if store.is_alive(p)]
-                    if alive:
-                        stack.append(store.remove_paths_conflicting_with(rng.choice(alive)))
-                assert_derived_structures(store)
+                    if not alive:
+                        continue
+                    stack.append(store.remove_paths_conflicting_with(rng.choice(alive)))
+                last = assert_derived_structures(store, last)
             while stack:
                 store.undo(stack.pop())
+                last = assert_derived_structures(store, last)
             assert store.snapshot() == initial, (l, seed)
 
 
-def assert_derived_structures(store):
-    """Check the structures the build's bulk pass fills against a full recount."""
+def assert_derived_structures(store, last=None):
+    """Check the structures the build's bulk pass fills against a full recount.
+
+    ``last`` is what the previous call returned, with exactly one removal
+    batch or undo run since: every candidate whose alive incident paths
+    changed must carry the advanced clock, every other one its old stamp.
+    Returns the clock, the stamps and the alive paths per end.
+    """
     ends = {v: [] for v in store.candidates}
+    alive_ends = {v: [] for v in store.candidates}
     reach = {v: set() for v in store.candidates}
     alive_pairs = collections.Counter()
     for pid in range(len(store)):
@@ -210,6 +220,8 @@ def assert_derived_structures(store):
         ends[u].append(pid)
         ends[w].append(pid)
         if store.is_alive(pid):
+            alive_ends[u].append(pid)
+            alive_ends[w].append(pid)
             reach[u].add(w)
             reach[w].add(u)
             alive_pairs[u, w] += 1
@@ -220,6 +232,14 @@ def assert_derived_structures(store):
     for u, w in itertools.combinations(store.candidates, 2):
         count = store.pair_count(u, w)
         assert count == len(store.alive_between(u, w)) == alive_pairs[u, w], (u, w)
+    stamps = {v: store.stamps[v] for v in store.candidates}
+    if last is not None:
+        clock, last_stamps, last_alive_ends = last
+        assert store.clock == clock + 1
+        for v in store.candidates:
+            changed = alive_ends[v] != last_alive_ends[v]
+            assert stamps[v] == (store.clock if changed else last_stamps[v]), v
+    return store.clock, stamps, alive_ends
 
 
 def test_dump_format(worked_pattern, worked_data):

@@ -2,6 +2,7 @@ import gc
 import random
 import sys
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -316,6 +317,17 @@ class TestDetermination:
         assert built == []
         assert search.SearchTimeout is pathindex.SearchTimeout is SearchTimeout
 
+    def test_passed_deadline_raises_in_refinement(self, worked_pattern, worked_data):
+        s = MatchState.create(worked_pattern, worked_data, 2, 2)
+        before = full_snapshot(s)
+        s.config.deadline = time.monotonic() - 1.0
+        with pytest.raises(SearchTimeout, match="refinement"):
+            s.refine_compatibility()
+        # a push whose refinement times out is undone before the error leaves
+        with pytest.raises(SearchTimeout, match="refinement"):
+            s.push_node_match(2, 8)
+        assert full_snapshot(s) == before
+
 
 class TestEnumeration:
     def test_worked_example_has_exactly_one_witness(self, worked_pattern, worked_data,
@@ -460,6 +472,46 @@ class TestSearchHygiene:
                       for i, step in enumerate(steps, 1)],
         }
 
+    # (call, outcome, recursion_calls, states_explored, max_depth, backtracks,
+    #  mean_backtrack_depth), recorded before refinement kept a record of
+    #  verified cells: most of the time of these searches goes to refinement,
+    #  so a cell cleared or kept differently changes the counts.
+    GOLDEN_REFINE_STATS = [
+        ("ndshd1", True, 79, 81, 79, 0, 0.0),
+        ("ndshd2", True, 79, 116, 79, 0, 0.0),
+        ("enumerate_all/ndshd2", True, 260, 359, 10, 250, 7.432),
+        ("enumerate_all/ndshd1", True, 695, 854, 10, 685, 6.360584),
+    ]
+
+    @pytest.mark.parametrize("call,outcome,calls,states,max_depth,backtracks,mean_bt",
+                             GOLDEN_REFINE_STATS)
+    def test_golden_stats_on_refinement_heavy_inputs(self, call, outcome, calls, states,
+                                                     max_depth, backtracks, mean_bt):
+        stats = SearchStats()
+        if call in ("ndshd1", "ndshd2"):
+            # a planted 40-vertex path, decided without a backtrack
+            n = 40
+            rng = random.Random(n)
+            pattern = LabeledGraph(n, {v: f"L{rng.randrange(7)}" for v in range(1, n + 1)},
+                                   [(v, v + 1) for v in range(1, n)])
+            data = plant_subdivision(pattern, 1, 2, padding=20, seed=n)
+            fn = ndshd1 if call == "ndshd1" else ndshd2
+            assert fn(pattern, data, 1, 2, stats=stats) is not None
+        else:
+            pattern = random_labeled_graph(5, 1.6, 2, 4)
+            data = plant_subdivision(pattern, 2, 3, padding=8, seed=4)
+            found = list(enumerate_all(pattern, data, 2, 3, limit=50,
+                                       strategy=call.partition("/")[2], stats=stats))
+            assert len(found) == 50
+        assert stats.as_dict(include_timing=False) == {
+            "outcome": outcome,
+            "recursion_calls": calls,
+            "states_explored": states,
+            "max_depth": max_depth,
+            "backtracks": backtracks,
+            "mean_backtrack_depth": mean_bt,
+        }
+
     def test_deterministic_stats_and_witnesses(self, worked_pattern, worked_data):
         runs = []
         for _ in range(2):
@@ -552,3 +604,50 @@ def test_strategies_and_oracle_agree_under_every_config(instance, config):
                                                         config=config)]
         assert len(got) == len(set(got))
         assert set(got) == oracle
+
+
+def _alive_ending_at(store, v):
+    return [pid for pid in store.paths_ending_at(v) if store.is_alive(pid)]
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(instance=_instances(), config=_CONFIGS)
+def test_refinement_record_skips_only_unchanged_cells(instance, config):
+    """At every refinement of a search, the pass that uses the record of
+    verified cells clears exactly the cells that a pass without it clears,
+    and every cell the record lets it skip has the same alive paths at its
+    column as when the record kept it."""
+    g1, g2, l, h = instance
+    real_refine = MatchState.refine_compatibility
+    passes = []
+    alive_when_written = {}  # state -> row -> (record entry, alive paths per kept cell)
+
+    def checked_refine(self, hints=()):
+        store, rows = self.store, self.matrix.rows
+        written = alive_when_written.setdefault(self, {})
+        for vi, (_key, clock, kept) in self._verified.items():
+            alive = written[vi][1]
+            for vj in kept:
+                if store.stamps[vj] <= clock:
+                    assert _alive_ending_at(store, vj) == alive[vj], (vi, vj)
+        before = [set(r) for r in rows]
+        record, self._verified = self._verified, {}
+        real_refine(self, hints)
+        expected = [set(r) for r in rows]
+        for row, cells in zip(rows, before):
+            row.clear()
+            row.update(cells)
+        self._verified = record
+        real_refine(self, hints)
+        assert rows == expected
+        for vi, entry in record.items():
+            if written.get(vi, (None,))[0] is not entry:
+                written[vi] = (entry, {vj: _alive_ending_at(store, vj) for vj in entry[2]})
+        passes.append(hints)
+
+    with mock.patch.object(MatchState, "refine_compatibility", checked_refine):
+        for fn in (ndshd1, ndshd2):
+            fn(g1, g2, l, h, config=config)
+        for strategy in ("ndshd1", "ndshd2"):
+            list(enumerate_all(g1, g2, l, h, strategy=strategy, config=config))
+    assert bool(passes) == config.refine_matrix
