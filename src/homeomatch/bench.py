@@ -321,11 +321,15 @@ def write_summary_csv(path, summaries, include_timing: bool = True):
     _write_csv(path, SUMMARY_FIELDS, summaries, include_timing)
 
 
-def format_summary_table(summaries) -> str:
-    lines = ["algo      runs  true  false  timeout  t_max[s]  t_mean[s]  t_std[s]  calls_mean"]
+def format_summary_table(summaries, include_timing: bool = True) -> str:
+    """Fixed-width summary; without timing the search-time columns are left out."""
+    timing = "  t_max[s]  t_mean[s]  t_std[s]" if include_timing else ""
+    lines = [f"algo      runs  true  false  timeout{timing}  calls_mean"]
     for s in summaries:
+        if include_timing:
+            timing = (f"  {s['search_s_max']:>8.3f}  {s['search_s_mean']:>9.4f}"
+                      f"  {s['search_s_std']:>8.4f}")
         lines.append(
             f"{s['algo']:<8}  {s['runs']:>4}  {s['true_count']:>4}  {s['false_count']:>5}"
-            f"  {s['timeout_count']:>7}  {s['search_s_max']:>8.3f}  {s['search_s_mean']:>9.4f}"
-            f"  {s['search_s_std']:>8.4f}  {s['calls_mean']:>10.1f}")
+            f"  {s['timeout_count']:>7}{timing}  {s['calls_mean']:>10.1f}")
     return "\n".join(lines)

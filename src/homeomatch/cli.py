@@ -143,7 +143,7 @@ def cmd_bench(args) -> int:
     write_runs_csv(args.out, rows, include_timing=include_timing)
     summary_path = args.summary or (args.out + ".summary.csv")
     write_summary_csv(summary_path, summary, include_timing=include_timing)
-    print(format_summary_table(summary))
+    print(format_summary_table(summary, include_timing=include_timing))
     return EXIT_TRUE
 
 

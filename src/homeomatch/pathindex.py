@@ -90,12 +90,13 @@ class PathStore:
     ``clock`` counts batches: each ``remove_paths_*`` call and each
     ``undo`` advances it by one.  ``stamps[v]`` is the clock of the last
     batch that killed or revived a path ending at ``v`` (0 if none did).
-    Undo does not roll either back.
+    Undo does not roll either back.  ``witness_tries`` counts the paths
+    ``has_witnesses`` has tried over the store's life.
     """
 
     __slots__ = ("l", "h", "candidates", "_cand_set", "_verts", "_alive",
                  "alive_count", "by_pair", "_by_inner", "_by_end", "_pair_alive",
-                 "_reach", "clock", "stamps")
+                 "_reach", "clock", "stamps", "witness_tries")
 
     def __init__(self, l: int, h: int, candidates, verts: list[tuple[int, ...]],
                  by_pair: dict[tuple[int, int], list[int]]):
@@ -129,6 +130,7 @@ class PathStore:
         self._by_inner = dict(by_inner)
         self.clock = 0
         self.stamps = [0] * (self.candidates[-1] + 1 if self.candidates else 1)
+        self.witness_tries = 0
 
     def __len__(self) -> int:
         return len(self._verts)
@@ -224,16 +226,83 @@ class PathStore:
             stamps[u] = stamps[w] = clock
         self.alive_count += len(token.killed)
 
-    def paths_independent(self, p: int, q: int) -> bool:
-        """Neither path contains an inner vertex of the other (ends may coincide)."""
-        pv, qv = self._verts[p], self._verts[q]
-        for x in pv[1:-1]:
-            if x in qv:
+    def has_witnesses(self, v: int, images, rows, cap: int) -> bool:
+        """Whether one alive path per requirement at ``v`` can be picked independent.
+
+        Each vertex of ``images`` requires a path from ``v`` to it, each set
+        of ``rows`` a path from ``v`` to some vertex of the set.  Paths are
+        independent when neither contains an inner vertex of the other;
+        ends may coincide.  A depth-first pick takes the ``images``
+        requirements first, fewest alive paths first (a stable sort), then
+        the ``rows`` ones in the given order; within a requirement it tries
+        paths in ascending id order.  Each path tried costs one unit of
+        ``cap`` before its independence test; past the cap the answer is
+        True, the conservative verdict.  The path lists of the ``rows``
+        requirements are filled only as far as the pick reads them.  The
+        units spent are added to ``witness_tries``.
+        """
+        reach = self._reach[v]
+        if not reach.issuperset(images):
+            return False
+        for row in rows:
+            if row.isdisjoint(reach):
                 return False
-        for x in qv[1:-1]:
-            if x == pv[0] or x == pv[-1]:
-                return False
-        return True
+        need = len(images) + len(rows)
+        if need <= 1:
+            return True
+        alive, verts, by_pair = self._alive, self._verts, self.by_pair
+        reqs = [[pid for pid in by_pair[(v, w) if v < w else (w, v)] if alive[pid]]
+                for w in images]
+        reqs.sort(key=len)
+        first_row = len(reqs)
+        reqs.extend([] for _ in rows)
+        ends = self._by_end[v]
+        scanned = [0] * len(rows)  # per rows requirement: ends read so far
+        pos = [0] * need  # per requirement: index of the next path to try
+        chosen = []  # (vertex set, inner vertices) of the path picked per level
+        budget = cap
+        k = 0
+        while True:
+            paths = reqs[k]
+            i = pos[k]
+            if i == len(paths) and k >= first_row:
+                r = k - first_row
+                row, j = rows[r], scanned[r]
+                while j < len(ends):
+                    pid = ends[j]
+                    j += 1
+                    if alive[pid]:
+                        pv = verts[pid]
+                        if (pv[-1] if pv[0] == v else pv[0]) in row:
+                            paths.append(pid)
+                            break
+                scanned[r] = j
+            if i == len(paths):
+                if not k:
+                    found = False
+                    break
+                k -= 1
+                chosen.pop()
+                continue
+            pos[k] = i + 1
+            budget -= 1
+            if budget < 0:
+                found = True
+                break
+            pv = verts[paths[i]]
+            a, b, mid = pv[0], pv[-1], pv[1:-1]
+            for qset, qmid in chosen:
+                if a in qmid or b in qmid or not qset.isdisjoint(mid):
+                    break
+            else:
+                k += 1
+                if k == need:
+                    found = True
+                    break
+                chosen.append((set(pv), mid))
+                pos[k] = 0
+        self.witness_tries += cap - budget
+        return found
 
     def snapshot(self):
         """Fingerprint of the state that undo restores, for exact-restore checks.

@@ -38,14 +38,15 @@ futile exploration:
 Backtracking restores state exactly: the matrix is snapshotted per
 state, the path store's alive flags, counters and reachability sets are
 rolled back through undo tokens in reverse order.  Only the store's
-batch clock and per-end stamps and the refinement's record of verified
-cells outlive a pop; they only grow and never change a result.  A
-search owns its state and is single-threaded; the input graphs are
-never modified.
+batch clock and per-end stamps, the matrix's row-version counter and the
+refinement's record of verified cells outlive a pop; they only grow and
+never change a result.  A search owns its state and is single-threaded;
+the input graphs are never modified.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -76,10 +77,6 @@ __all__ = [
 STRATEGIES = ("ndshd1", "ndshd2")
 
 
-class _WitnessBudgetExceeded(Exception):
-    """Internal: witness search hit its work cap; the cell is kept."""
-
-
 @dataclass
 class SearchConfig:
     """Tie-breaking, pruning toggles and resource limits for one search.
@@ -90,6 +87,12 @@ class SearchConfig:
     candidate paths are always tried in ascending order.  The three
     ``prune_*``/``refine_*`` switches exist for pruning-soundness tests
     and A/B runs; disabling them never changes the solution set.
+
+    ``witness_cap`` bounds the work refinement spends on one cell: it
+    counts path attempts of the witness pick, one per path tried, in
+    requirement order and in ascending path id within each requirement
+    (see ``MatchState.refine_compatibility``).  A cell whose pick runs
+    past the cap is kept, so the cap never changes the solution set.
     """
 
     order: str = "mcf"
@@ -150,20 +153,37 @@ class SearchStats:
         return d
 
 
+class _MatrixSnapshot(list):
+    """Copies of rows 1..n1, plus the row versions they were taken at.
+
+    A list of the row copies, so that iterating a snapshot still yields
+    exactly its rows.
+    """
+
+    __slots__ = ("versions",)
+
+
 class CompatibleMatrix:
     """Binary candidate matrix between pattern rows and data columns.
 
     Row i holds the set of data vertices still admissible for pattern
     vertex i.  Within one state's lifetime refinement only ever clears
     cells; every 1 of any later state was a 1 of the initial matrix.
+
+    ``versions[i]`` names the contents of row i: every change to a row
+    must be followed by ``changed(i)``, which draws a new version from a
+    counter that only grows, and snapshot and restore carry the versions.
+    Two equal versions of a row therefore mean equal contents.
     """
 
-    __slots__ = ("n1", "n2", "rows")
+    __slots__ = ("n1", "n2", "rows", "versions", "_next_version")
 
     def __init__(self, n1: int, n2: int, rows=None):
         self.n1 = n1
         self.n2 = n2
         self.rows: list[set[int]] = rows if rows is not None else [set() for _ in range(n1 + 1)]
+        self.versions = [0] * (n1 + 1)
+        self._next_version = itertools.count(1).__next__
 
     @classmethod
     def initial(cls, g1: LabeledGraph, g2: LabeledGraph) -> "CompatibleMatrix":
@@ -196,39 +216,22 @@ class CompatibleMatrix:
             cols.update(r)
         return tuple(sorted(cols))
 
+    def changed(self, i: int):
+        """Give row i a new version; call after every change to its contents."""
+        self.versions[i] = self._next_version()
+
     def snapshot(self) -> list[set[int]]:
-        return [set(r) for r in self.rows[1:]]
+        snap = _MatrixSnapshot([set(r) for r in self.rows[1:]])
+        snap.versions = self.versions[:]
+        return snap
 
     def restore(self, snap):
         self.rows[1:] = [set(r) for r in snap]
+        self.versions[:] = snap.versions
 
 
 def initial_compatible_matrix(g1: LabeledGraph, g2: LabeledGraph) -> CompatibleMatrix:
     return CompatibleMatrix.initial(g1, g2)
-
-
-class _LazyPaths:
-    """Cache-backed path-id sequence that can be re-iterated mid-search."""
-
-    __slots__ = ("_src", "items", "done")
-
-    def __init__(self, src=None, items=None):
-        self._src = src
-        self.items: list[int] = list(items) if items is not None else []
-        self.done = src is None
-
-    def __iter__(self):
-        i = 0
-        while True:
-            while i < len(self.items):
-                yield self.items[i]
-                i += 1
-            if self.done:
-                return
-            try:
-                self.items.append(next(self._src))
-            except StopIteration:
-                self.done = True
 
 
 class MatchState:
@@ -237,8 +240,9 @@ class MatchState:
     All mutation goes through ``push_node_match`` / ``push_path_match``
     and is undone exactly by ``pop()``; a fully popped state has the
     matrix, matches and store contents of the freshly created one.  The
-    store's clock and stamps and the record of verified cells are not
-    rolled back: they only grow, and no result depends on their values.
+    store's clock and stamps, the matrix's row-version counter and the
+    record of verified cells are not rolled back: they only grow, and no
+    result depends on their values.
     """
 
     def __init__(self, g1: LabeledGraph, g2: LabeledGraph, l: int, h: int,
@@ -289,11 +293,14 @@ class MatchState:
         self.nm.append((vi, vj))
         self.node_image[vi] = vj
         self.node_preimage[vj] = vi
-        rows = self.matrix.rows
+        matrix = self.matrix
+        rows = matrix.rows
         rows[vi] = {vj}
+        matrix.changed(vi)
         for i in range(1, self.g1.n + 1):
-            if i != vi:
+            if i != vi and vj in rows[i]:
                 rows[i].discard(vj)
+                matrix.changed(i)
         if cfg.prune_through_matched:
             tokens.append(self.store.remove_paths_through_vertex(vj))
         if cfg.refine_matrix:
@@ -322,10 +329,17 @@ class MatchState:
         if cfg.prune_conflicts:
             tokens.append(store.remove_paths_conflicting_with(pid))
             if inner:
-                rows = self.matrix.rows
+                matrix = self.matrix
+                rows = matrix.rows
                 for i in range(1, self.g1.n + 1):
                     if i not in self.node_image:
-                        rows[i].difference_update(inner)
+                        # difference_update on every row, as it also compacts
+                        # a table that discards have left sparse
+                        row = rows[i]
+                        size = len(row)
+                        row.difference_update(inner)
+                        if len(row) != size:
+                            matrix.changed(i)
         if cfg.refine_matrix:
             self._refine_pushed(hints=edge)
         if cfg.validate:
@@ -451,8 +465,11 @@ class MatchState:
         and one witness path per such requirement can be picked pairwise
         independent.  Cells are cleared only when no completion of the
         current state can use them (any completion maps a neighbour into
-        its current row); if the witness search overruns its work cap
-        the cell is conservatively kept.
+        its current row).  The pick tries the matched neighbours' path
+        lists first, shortest first, then the unmatched neighbours in
+        ``g1.neighbors`` order, each list in ascending path id; every path
+        tried costs one unit of ``witness_cap``, and a cell whose pick
+        runs past the cap is conservatively kept.
 
         Rows adjacent to the ``hints`` vertices are scanned first and
         the scan stops once a row empties, because the state is then
@@ -460,13 +477,16 @@ class MatchState:
 
         A cell's verdict depends only on its neighbours' images or rows,
         the witness cap and the alive paths ending at its column.  Each
-        scanned row therefore records its neighbour key, the store clock
-        and the cells it kept; a later scan with the same key re-checks
-        only the cells it did not keep or whose column's stamp is newer.
-        The configured deadline is polled once per row.
+        scanned row therefore records its neighbour key (each matched
+        neighbour's image, each unmatched neighbour's row version,
+        complemented so it is negative), the store clock and the cells it
+        kept; a later scan with the same key re-checks only the cells it
+        did not keep or whose column's stamp is newer.  The configured
+        deadline is polled once per row.
         """
         g1 = self.g1
-        rows = self.matrix.rows
+        matrix = self.matrix
+        rows, versions = matrix.rows, matrix.versions
         img = self.node_image
         order = []
         seen = set()
@@ -479,6 +499,7 @@ class MatchState:
         store = self.store
         stamps = store.stamps
         verified = self._verified
+        has_witnesses, cap = store.has_witnesses, self.config.witness_cap
         deadline = self.config.deadline
         for vi in order:
             if deadline is not None and time.monotonic() > deadline:
@@ -496,7 +517,7 @@ class MatchState:
                     key.append(fu)
                 else:
                     neighbor_rows.append(rows[u])
-                    key.append(frozenset(rows[u]))
+                    key.append(~versions[u])  # negative, never an image
             if not matched_images and not neighbor_rows:
                 continue
             key = tuple(key)
@@ -505,60 +526,15 @@ class MatchState:
                 _, clock, kept = last
             else:
                 clock, kept = 0, ()
-            for vj in sorted(row):
-                if vj in kept and stamps[vj] <= clock:
-                    continue
-                if not self._cell_supported(vj, matched_images, neighbor_rows):
+            # A check never reads the cell's own row, so the cells to
+            # re-check can be listed before any of them is cleared.
+            for vj in [vj for vj in sorted(row) if vj not in kept or stamps[vj] > clock]:
+                if not has_witnesses(vj, matched_images, neighbor_rows, cap):
                     row.discard(vj)
+                    matrix.changed(vi)
             verified[vi] = (key, store.clock, frozenset(row))
             if not row:
                 return
-
-    def _cell_supported(self, vj, matched_images, neighbor_rows) -> bool:
-        store = self.store
-        for fu in matched_images:
-            if store.pair_count(vj, fu) == 0:
-                return False
-        reach = store.reachable_from(vj)
-        for nrow in neighbor_rows:
-            if nrow.isdisjoint(reach):
-                return False
-        if len(matched_images) + len(neighbor_rows) <= 1:
-            return True
-        reqs = [_LazyPaths(items=store.alive_between(vj, fu)) for fu in matched_images]
-        reqs.sort(key=lambda r: len(r.items))
-        reqs.extend(_LazyPaths(src=self._row_paths_iter(vj, nrow))
-                    for nrow in neighbor_rows)
-        try:
-            return self._pick_witnesses(reqs, 0, [], [self.config.witness_cap])
-        except _WitnessBudgetExceeded:
-            return True
-
-    def _row_paths_iter(self, vj: int, nrow: set):
-        """Alive paths from vj to any current candidate of a neighbour row."""
-        store = self.store
-        for pid in store.paths_ending_at(vj):
-            if not store.is_alive(pid):
-                continue
-            verts = store.vertices(pid)
-            other = verts[-1] if verts[0] == vj else verts[0]
-            if other in nrow:
-                yield pid
-
-    def _pick_witnesses(self, reqs, k, chosen, budget) -> bool:
-        if k == len(reqs):
-            return True
-        store = self.store
-        for pid in reqs[k]:
-            budget[0] -= 1
-            if budget[0] < 0:
-                raise _WitnessBudgetExceeded
-            if all(store.paths_independent(pid, q) for q in chosen):
-                chosen.append(pid)
-                if self._pick_witnesses(reqs, k + 1, chosen, budget):
-                    return True
-                chosen.pop()
-        return False
 
 
 def new_edges_emergent(state: MatchState, g1: LabeledGraph) -> list[tuple[int, int]]:

@@ -1,8 +1,12 @@
+import itertools
 import json
+import time
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 
-from homeomatch import GraphFormatError, Mapping, load_graph
+from homeomatch import GraphFormatError, Mapping, load_graph, search
 from homeomatch.cli import main
 from homeomatch.oracle import verify_mapping
 
@@ -109,6 +113,31 @@ class TestGen:
         rc = main(["gen", "random", "--n", "5", "--avg-degree", "9",
                    "--labels", "2", "--seed", "0", "--out", str(tmp_path / "x.graph")])
         assert rc == 2
+
+
+class TestBench:
+    def test_no_timing_stdout_is_byte_stable(self, tmp_path, capsys):
+        spec = {
+            "name": "cli_tiny",
+            "pattern": {"n1": 3, "m1": 2, "labels": "unique"},
+            "data": {"n2": 25, "m2": 3, "labels": 5},
+            "l": 1, "h": 2, "algo": "both", "repetitions": 2, "seed_base": 7,
+        }
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        outs = []
+        for step in (1.0, 2.5):
+            # a clock that ticks differently in each run, so any time that
+            # reaches the output differs between them
+            clock = SimpleNamespace(perf_counter=itertools.count(0.0, step).__next__,
+                                    monotonic=time.monotonic)
+            with mock.patch.object(search, "time", clock):
+                rc = main(["bench", str(spec_path), "--out", str(tmp_path / "runs.csv"),
+                           "--no-timing"])
+            assert rc == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        assert outs[0].startswith("algo")
 
 
 class TestVerify:

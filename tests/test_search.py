@@ -1,3 +1,4 @@
+import hashlib
 import gc
 import random
 import sys
@@ -512,6 +513,52 @@ class TestSearchHygiene:
             "mean_backtrack_depth": mean_bt,
         }
 
+    # The inputs above at witness_cap=2, where the cap decides most kept
+    # cells: (call, outcome, recursion_calls, states_explored, max_depth,
+    # backtracks, mean_backtrack_depth, sha256 prefix of the trace written
+    # as in GOLDEN_STATS), recorded before witness picking became one loop.
+    # Any change to the requirement order, the path order within a
+    # requirement or what the cap counts changes some of these.
+    GOLDEN_CAP2_STATS = [
+        ("ndshd1", True, 79, 81, 79, 0, 0.0, "7e3128ec86d10502"),
+        ("ndshd2", True, 79, 115, 79, 0, 0.0, "2450dd675a141b6e"),
+        ("enumerate_all/ndshd2", True, 266, 365, 10, 256, 7.375, "ef93c77b1b479368"),
+        ("enumerate_all/ndshd1", True, 711, 874, 10, 701, 6.326676, "3dd334925c51845e"),
+    ]
+
+    @pytest.mark.parametrize("call,outcome,calls,states,max_depth,backtracks,mean_bt,trace",
+                             GOLDEN_CAP2_STATS)
+    def test_golden_stats_at_a_small_witness_cap(self, call, outcome, calls, states,
+                                                 max_depth, backtracks, mean_bt, trace):
+        stats = SearchStats(trace=[])
+        config = SearchConfig(witness_cap=2)
+        if call in ("ndshd1", "ndshd2"):
+            n = 40
+            rng = random.Random(n)
+            pattern = LabeledGraph(n, {v: f"L{rng.randrange(7)}" for v in range(1, n + 1)},
+                                   [(v, v + 1) for v in range(1, n)])
+            data = plant_subdivision(pattern, 1, 2, padding=20, seed=n)
+            fn = ndshd1 if call == "ndshd1" else ndshd2
+            assert fn(pattern, data, 1, 2, config=config, stats=stats) is not None
+        else:
+            pattern = random_labeled_graph(5, 1.6, 2, 4)
+            data = plant_subdivision(pattern, 2, 3, padding=8, seed=4)
+            found = list(enumerate_all(pattern, data, 2, 3, limit=50, config=config,
+                                       strategy=call.partition("/")[2], stats=stats))
+            assert len(found) == 50
+        got = stats.as_dict(include_timing=False)
+        steps = " ".join(f"{phase[0]}{depth}" for _, depth, phase in got.pop("trace"))
+        assert len(stats.trace) == calls
+        assert hashlib.sha256(steps.encode()).hexdigest()[:16] == trace
+        assert got == {
+            "outcome": outcome,
+            "recursion_calls": calls,
+            "states_explored": states,
+            "max_depth": max_depth,
+            "backtracks": backtracks,
+            "mean_backtrack_depth": mean_bt,
+        }
+
     def test_deterministic_stats_and_witnesses(self, worked_pattern, worked_data):
         runs = []
         for _ in range(2):
@@ -580,14 +627,18 @@ def _instances(draw):
     return g1, g2, l, h
 
 
-_CONFIGS = st.builds(
-    SearchConfig,
-    order=st.sampled_from(["mcf", "ascending"]),
-    prune_through_matched=st.booleans(),
-    prune_conflicts=st.booleans(),
-    refine_matrix=st.booleans(),
-    witness_cap=st.sampled_from([0, 1, SearchConfig.witness_cap]),
-)
+def _configs(caps, refine_matrix=st.booleans()):
+    return st.builds(
+        SearchConfig,
+        order=st.sampled_from(["mcf", "ascending"]),
+        prune_through_matched=st.booleans(),
+        prune_conflicts=st.booleans(),
+        refine_matrix=refine_matrix,
+        witness_cap=st.sampled_from(caps),
+    )
+
+
+_CONFIGS = _configs([0, 1, SearchConfig.witness_cap])
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
@@ -651,3 +702,146 @@ def test_refinement_record_skips_only_unchanged_cells(instance, config):
         for strategy in ("ndshd1", "ndshd2"):
             list(enumerate_all(g1, g2, l, h, strategy=strategy, config=config))
     assert bool(passes) == config.refine_matrix
+
+
+class _ReferencePaths:
+    """Cache-backed path-id sequence that can be re-iterated mid-pick."""
+
+    def __init__(self, src=None, items=None):
+        self._src = src
+        self.items = list(items) if items is not None else []
+        self.done = src is None
+
+    def __iter__(self):
+        i = 0
+        while True:
+            while i < len(self.items):
+                yield self.items[i]
+                i += 1
+            if self.done:
+                return
+            try:
+                self.items.append(next(self._src))
+            except StopIteration:
+                self.done = True
+
+
+class _BudgetExceeded(Exception):
+    pass
+
+
+def _reference_pick(store, vj, images, rows, cap):
+    """The recursive witness picker, written with the store's public reads.
+
+    Requirements: the images' alive path lists sorted by length (stable),
+    then one lazily filled list per row, paths in ascending id order; one
+    unit of ``cap`` per path tried, before its independence test.  Returns
+    the verdict and the units spent.
+    """
+    for fu in images:
+        if store.pair_count(vj, fu) == 0:
+            return False, 0
+    reach = store.reachable_from(vj)
+    for row in rows:
+        if row.isdisjoint(reach):
+            return False, 0
+    if len(images) + len(rows) <= 1:
+        return True, 0
+
+    def row_paths(row):
+        for pid in store.paths_ending_at(vj):
+            if store.is_alive(pid):
+                verts = store.vertices(pid)
+                if (verts[-1] if verts[0] == vj else verts[0]) in row:
+                    yield pid
+
+    def independent(p, q):
+        pv, qv = store.vertices(p), store.vertices(q)
+        return not set(pv[1:-1]) & set(qv) and not set(qv[1:-1]) & set(pv)
+
+    reqs = [_ReferencePaths(items=store.alive_between(vj, fu)) for fu in images]
+    reqs.sort(key=lambda r: len(r.items))
+    reqs.extend(_ReferencePaths(src=row_paths(row)) for row in rows)
+    budget = [cap]
+
+    def pick(k, chosen):
+        if k == len(reqs):
+            return True
+        for pid in reqs[k]:
+            budget[0] -= 1
+            if budget[0] < 0:
+                raise _BudgetExceeded
+            if all(independent(pid, q) for q in chosen):
+                chosen.append(pid)
+                if pick(k + 1, chosen):
+                    return True
+                chosen.pop()
+        return False
+
+    try:
+        found = pick(0, [])
+    except _BudgetExceeded:
+        found = True
+    return found, cap - budget[0]
+
+
+_WITNESS_CAPS = [0, 1, 2, 3, 5, SearchConfig.witness_cap]
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(instance=_instances(), config=_configs(_WITNESS_CAPS, refine_matrix=st.just(True)))
+def test_witness_picker_matches_the_recursive_reference(instance, config):
+    """Every cell refinement checks gets the reference picker's verdict and
+    spends as many units of the cap, at the search's own witness cap and at
+    every other cap of the list."""
+    g1, g2, l, h = instance
+    real_pick = pathindex.PathStore.has_witnesses
+
+    def compared_pick(store, vj, images, rows, cap):
+        assert cap == config.witness_cap
+        for other in _WITNESS_CAPS:
+            tries = store.witness_tries
+            verdict = real_pick(store, vj, images, rows, other)
+            assert (verdict, store.witness_tries - tries) == _reference_pick(
+                store, vj, images, rows, other), other
+        return real_pick(store, vj, images, rows, cap)
+
+    with mock.patch.object(pathindex.PathStore, "has_witnesses", compared_pick):
+        for fn in (ndshd1, ndshd2):
+            fn(g1, g2, l, h, config=config)
+        for strategy in ("ndshd1", "ndshd2"):
+            list(enumerate_all(g1, g2, l, h, strategy=strategy, config=config))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(instance=_instances(),
+       config=_configs([0, 1, SearchConfig.witness_cap], refine_matrix=st.just(True)))
+def test_row_versions_name_row_contents(instance, config):
+    """Whenever refinement starts or ends and after every pop, each row of
+    the matrix has the contents it had at every other time it carried the
+    same version: a change that draws no new version shows up here."""
+    g1, g2, l, h = instance
+    real_refine, real_pop = MatchState.refine_compatibility, MatchState.pop
+    contents = {}  # (matrix, row, version) -> row contents
+
+    def observe(state):
+        matrix = state.matrix
+        for i in range(1, matrix.n1 + 1):
+            row = frozenset(matrix.rows[i])
+            assert contents.setdefault((matrix, i, matrix.versions[i]), row) == row, i
+
+    def observed_refine(self, hints=()):
+        observe(self)
+        real_refine(self, hints)
+        observe(self)
+
+    def observed_pop(self):
+        real_pop(self)
+        observe(self)
+
+    with mock.patch.object(MatchState, "refine_compatibility", observed_refine), \
+            mock.patch.object(MatchState, "pop", observed_pop):
+        for fn in (ndshd1, ndshd2):
+            fn(g1, g2, l, h, config=config)
+        for strategy in ("ndshd1", "ndshd2"):
+            list(enumerate_all(g1, g2, l, h, strategy=strategy, config=config))
