@@ -4,8 +4,8 @@ Decides whether a pattern graph is an (l, h)-topological minor of a
 data graph, i.e. whether the pattern's vertices map injectively onto
 equally labeled data vertices and each pattern edge onto a simple data
 path of length l..h such that all mapped paths are pairwise
-independent.  Ships two backtracking strategies with switchable
-pruning, exhaustive enumeration, a brute-force oracle, instance
+independent.  Ships two backtracking strategies that share one set of
+pruning rules, exhaustive enumeration, a brute-force oracle, instance
 generators and a benchmark harness.
 """
 

@@ -42,6 +42,7 @@ import time
 from dataclasses import dataclass, field
 
 from .graph import LabeledGraph, load_graph, random_labeled_graph
+from .pathindex import check_length_window
 from .search import SearchConfig, SearchStats, SearchTimeout, ndshd1, ndshd2
 
 __all__ = [
@@ -108,8 +109,6 @@ class ExperimentSpec:
             raise ValueError(f"algo must be ndshd1, ndshd2 or both; got {self.algo!r}")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
-        if self.l < 1 or self.h < self.l:
-            raise ValueError("need 1 <= l <= h")
         if self.order not in ("mcf", "ascending"):
             raise ValueError(f"unknown order {self.order!r}")
         if self.sweep_variable is not None:
@@ -117,6 +116,10 @@ class ExperimentSpec:
                 raise ValueError(f"sweep variable must be one of {_SWEEPABLE}")
             if not self.sweep_values:
                 raise ValueError("sweep values must be nonempty")
+        # every point's window, before any instance is generated or solved
+        for value in self.sweep_values if self.sweep_variable else (None,):
+            _, _, l, h = _apply_sweep(self, value)
+            check_length_window(l, h)
         if self.pattern.file is None and self.pattern.labels not in ("unique", "random"):
             raise ValueError("pattern labels policy must be 'unique' or 'random'")
         if self.timeout_s <= 0:

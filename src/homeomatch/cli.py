@@ -32,6 +32,13 @@ EXIT_FALSE = 1
 EXIT_ERROR = 2
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_window_args(p):
     p.add_argument("--l", dest="l", type=int, required=True, help="minimum path length")
     p.add_argument("--h", dest="h", type=int, required=True, help="maximum path length")
@@ -167,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("data")
     _add_window_args(p)
     _add_search_args(p)
-    p.add_argument("--limit", type=int, help="stop after this many mappings")
+    p.add_argument("--limit", type=_positive_int, help="stop after this many mappings")
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("gen", help="generate instance files")
@@ -201,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algo", choices=["ndshd1", "ndshd2"], default="ndshd2")
     p.add_argument("--oracle", action="store_true",
                    help="use the guarded brute-force solver instead of the search")
-    p.add_argument("--limit", type=int)
+    p.add_argument("--limit", type=_positive_int, help="print at most this many mappings")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("bench", help="run an experiment spec, write runs + summary CSVs")

@@ -46,19 +46,17 @@ class SearchTimeout(Exception):
     """Raised when a configured deadline expires mid-search."""
 
 
-def length_cap(max_h: int | None = None) -> int:
+def length_cap() -> int:
     """Configured upper bound for h; HOMEOMATCH_MAX_H overrides the default."""
-    if max_h is not None:
-        return int(max_h)
     return int(os.environ.get(_ENV_MAX_H, DEFAULT_MAX_H))
 
 
-def check_length_window(l: int, h: int, max_h: int | None = None):
+def check_length_window(l: int, h: int):
     if l < 1:
         raise ValueError("minimum path length l must be >= 1")
     if h < l:
         raise ValueError("maximum path length h must be >= l")
-    cap = length_cap(max_h)
+    cap = length_cap()
     if h > cap:
         raise ValueError(
             f"h={h} exceeds the configured cap {cap} (set {_ENV_MAX_H} to raise it)")
@@ -322,7 +320,7 @@ class PathStore:
 
 
 def enumerate_paths(g2, candidates, l: int, h: int,
-                    max_h: int | None = None, deadline: float | None = None) -> PathStore:
+                    deadline: float | None = None) -> PathStore:
     """All simple paths of length l..h between candidate pairs, each stored once.
 
     Bounded DFS from every candidate vertex; a path is emitted when the
@@ -333,7 +331,7 @@ def enumerate_paths(g2, candidates, l: int, h: int,
     ``time.monotonic`` value, is polled once per source vertex; past it,
     ``SearchTimeout`` is raised.
     """
-    check_length_window(l, h, max_h)
+    check_length_window(l, h)
     for v in candidates:
         if not 1 <= v <= g2.n:
             raise ValueError(f"candidate {v} is not a vertex of the data graph")

@@ -21,19 +21,22 @@ state follows a match.
 The search keeps two mutable structures per state: a binary candidate
 matrix (pattern rows over data columns, seeded by the label-and-degree
 rule) and a :class:`~homeomatch.pathindex.PathStore` of bounded simple
-paths between candidate branch nodes.  Three refinements shrink them
-and are individually switchable in :class:`SearchConfig`; correctness
-never depends on them because candidate validity is re-checked when a
-pair is tried, so disabling any refinement changes only the amount of
-futile exploration:
+paths between candidate branch nodes.  Every match shrinks them, and
+soundness rests on what each shrink keeps true, not on a re-check when
+a candidate is tried:
 
-* a node match deactivates all paths running through the matched data
-  vertex (branch nodes can only be path ends),
-* a path match deactivates all paths touching its inner vertices and
-  bars those vertices from later node matches,
-* after every match, node-candidate cells are cleared when no selection
-  of pairwise-independent witness paths can serve the cell's incident
-  pattern edges.
+* a node match kills all paths running through the matched data vertex
+  (branch nodes can only be path ends), so no alive path of a pending
+  edge has a matched vertex inside it;
+* a path match kills all paths touching its inner vertices and strips
+  those vertices from every unmatched row, so no alive path of a
+  pending edge and no unmatched row holds a committed inner vertex;
+* at the root and after every match, node-candidate cells are cleared
+  when no selection of pairwise-independent witness paths can serve
+  the cell's incident pattern edges.
+
+Candidates are therefore read straight from the matrix rows and the
+store's alive paths.
 
 Backtracking restores state exactly: the matrix is snapshotted per
 state, the path store's alive flags, counters and reachability sets are
@@ -79,14 +82,14 @@ STRATEGIES = ("ndshd1", "ndshd2")
 
 @dataclass
 class SearchConfig:
-    """Tie-breaking, pruning toggles and resource limits for one search.
+    """Tie-breaking, the witness cap and the deadline of one search.
 
     ``order`` selects the next pattern row / pending edge: ``mcf`` takes
     the one with the fewest candidates (ties by ascending id), while
     ``ascending`` uses plain id order.  Candidate data vertices and
-    candidate paths are always tried in ascending order.  The three
-    ``prune_*``/``refine_*`` switches exist for pruning-soundness tests
-    and A/B runs; disabling them never changes the solution set.
+    candidate paths are always tried in ascending order.  Every pruning
+    rule always runs: the search reads its candidates straight from the
+    pruned matrix and store, so the rules are what keep it sound.
 
     ``witness_cap`` bounds the work refinement spends on one cell: it
     counts path attempts of the witness pick, one per path tried, in
@@ -96,13 +99,8 @@ class SearchConfig:
     """
 
     order: str = "mcf"
-    prune_through_matched: bool = True
-    prune_conflicts: bool = True
-    refine_matrix: bool = True
     witness_cap: int = 10_000
-    max_h: int | None = None
     deadline: float | None = None
-    validate: bool = False
 
     def __post_init__(self):
         if self.order not in ("mcf", "ascending"):
@@ -257,10 +255,8 @@ class MatchState:
         self.nm: list[tuple[int, int]] = []
         self.epm: list[tuple[tuple[int, int], int]] = []
         self.node_image: dict[int, int] = {}
-        self.node_preimage: dict[int, int] = {}
         self.path_of_edge: dict[tuple[int, int], int] = {}
-        self.used_inner: set[int] = set()
-        self._trail: list = []
+        self._trail: list = []  # (kind, matrix snapshot, undo token) per push
         # pattern row -> (neighbour key, store clock, cells kept) of its last scan
         self._verified: dict[int, tuple] = {}
 
@@ -268,11 +264,10 @@ class MatchState:
     def create(cls, g1: LabeledGraph, g2: LabeledGraph, l: int, h: int,
                config: SearchConfig | None = None) -> "MatchState":
         config = config or SearchConfig()
-        check_length_window(l, h, config.max_h)
+        check_length_window(l, h)
         matrix = CompatibleMatrix.initial(g1, g2)
         cands = candidate_branch_nodes(matrix)
-        store = enumerate_paths(g2, cands, l, h, max_h=config.max_h,
-                                deadline=config.deadline)
+        store = enumerate_paths(g2, cands, l, h, deadline=config.deadline)
         return cls(g1, g2, l, h, matrix, store, config)
 
     @property
@@ -282,18 +277,11 @@ class MatchState:
     # state transitions -------------------------------------------------
 
     def push_node_match(self, vi: int, vj: int):
-        """Append a node match, enforce matrix exclusivity, then refine."""
-        cfg = self.config
-        if cfg.validate:
-            assert vi not in self.node_image and vj not in self.node_preimage
-            assert self.matrix.get(vi, vj)
-            ones_before = self.matrix.ones()
-        tokens: list = []
-        self._trail.append(("node", self.matrix.snapshot(), tokens, None))
+        """Append a node match, enforce exclusivity, kill paths through vj, refine."""
+        matrix = self.matrix
+        snap = matrix.snapshot()
         self.nm.append((vi, vj))
         self.node_image[vi] = vj
-        self.node_preimage[vj] = vi
-        matrix = self.matrix
         rows = matrix.rows
         rows[vi] = {vj}
         matrix.changed(vi)
@@ -301,49 +289,30 @@ class MatchState:
             if i != vi and vj in rows[i]:
                 rows[i].discard(vj)
                 matrix.changed(i)
-        if cfg.prune_through_matched:
-            tokens.append(self.store.remove_paths_through_vertex(vj))
-        if cfg.refine_matrix:
-            self._refine_pushed(hints=(vi,))
-        if cfg.validate:
-            assert self.matrix.ones() <= ones_before
+        self._trail.append(("node", snap, self.store.remove_paths_through_vertex(vj)))
+        self._refine_pushed(hints=(vi,))
 
     def push_path_match(self, edge: tuple[int, int], pid: int):
-        """Append an edge-path match, prune conflicting paths, then refine."""
-        cfg = self.config
+        """Append an edge-path match, kill its conflicts, strip its inner vertices, refine."""
         store = self.store
-        if cfg.validate:
-            assert edge not in self.path_of_edge
-            assert store.is_alive(pid)
-            a, b = edge
-            ends = {store.vertices(pid)[0], store.vertices(pid)[-1]}
-            assert ends == {self.node_image[a], self.node_image[b]}
-            ones_before = self.matrix.ones()
-        inner = store.inner(pid)
-        added = [x for x in inner if x not in self.used_inner]
-        tokens: list = []
-        self._trail.append(("edge", self.matrix.snapshot(), tokens, added))
+        token = store.remove_paths_conflicting_with(pid)
+        self._trail.append(("edge", self.matrix.snapshot(), token))
         self.epm.append((edge, pid))
         self.path_of_edge[edge] = pid
-        self.used_inner.update(added)
-        if cfg.prune_conflicts:
-            tokens.append(store.remove_paths_conflicting_with(pid))
-            if inner:
-                matrix = self.matrix
-                rows = matrix.rows
-                for i in range(1, self.g1.n + 1):
-                    if i not in self.node_image:
-                        # difference_update on every row, as it also compacts
-                        # a table that discards have left sparse
-                        row = rows[i]
-                        size = len(row)
-                        row.difference_update(inner)
-                        if len(row) != size:
-                            matrix.changed(i)
-        if cfg.refine_matrix:
-            self._refine_pushed(hints=edge)
-        if cfg.validate:
-            assert self.matrix.ones() <= ones_before
+        inner = store.inner(pid)
+        if inner:
+            matrix = self.matrix
+            rows = matrix.rows
+            for i in range(1, self.g1.n + 1):
+                if i not in self.node_image:
+                    # difference_update on every row, as it also compacts
+                    # a table that discards have left sparse
+                    row = rows[i]
+                    size = len(row)
+                    row.difference_update(inner)
+                    if len(row) != size:
+                        matrix.changed(i)
+        self._refine_pushed(hints=edge)
 
     def _refine_pushed(self, hints):
         """Refine after a push; a refinement cut by the deadline undoes the push."""
@@ -355,18 +324,15 @@ class MatchState:
 
     def pop(self):
         """Undo the most recent push exactly."""
-        kind, snap, tokens, added = self._trail.pop()
-        for token in reversed(tokens):
-            self.store.undo(token)
+        kind, snap, token = self._trail.pop()
+        self.store.undo(token)
         self.matrix.restore(snap)
         if kind == "node":
-            vi, vj = self.nm.pop()
+            vi, _vj = self.nm.pop()
             del self.node_image[vi]
-            del self.node_preimage[vj]
         else:
             edge, _pid = self.epm.pop()
             del self.path_of_edge[edge]
-            self.used_inner.difference_update(added)
 
     # state predicates ---------------------------------------------------
 
@@ -430,29 +396,17 @@ class MatchState:
         return pending[0]
 
     def node_candidates(self, vi: int) -> list[int]:
-        used = self.used_inner
-        return [vj for vj in sorted(self.matrix.rows[vi]) if vj not in used]
+        return sorted(self.matrix.rows[vi])
 
     def path_candidates(self, edge: tuple[int, int]) -> list[int]:
-        """Alive paths joining the edge's images that a valid pair may use.
+        """Alive paths joining the edge's images, in ascending id order.
 
-        The explicit checks against matched vertices and committed inner
-        vertices are what keeps the search sound when the pruning
-        switches are off; with pruning on they are vacuously true.
+        Every one of them may be committed: the kills of earlier matches
+        leave no alive path with a matched vertex inside it or a committed
+        inner vertex anywhere on it.
         """
-        a, b = edge
-        store = self.store
-        used = self.used_inner
-        matched = self.node_preimage
-        out = []
-        for pid in store.alive_between(self.node_image[a], self.node_image[b]):
-            inner = store.inner(pid)
-            if any(x in used for x in store.vertices(pid)):
-                continue
-            if any(x in matched for x in inner):
-                continue
-            out.append(pid)
-        return out
+        img = self.node_image
+        return self.store.alive_between(img[edge[0]], img[edge[1]])
 
     # matrix refinement ----------------------------------------------------
 
@@ -596,8 +550,7 @@ class _Engine:
             # One refinement pass before the first selection settles most
             # unsatisfiable instances in a single scan instead of once per
             # root candidate; it is the same sound per-match refinement.
-            if s.config.refine_matrix:
-                s.refine_compatibility()
+            s.refine_compatibility()
             found = self._open(stack, "node", None, 0)
             while True:
                 if found is not None:
@@ -703,8 +656,7 @@ class _Engine:
 def _witnesses(g1, g2, l, h, strategy, config, stats):
     """Window check, empty graphs and timed set-up and search of one call."""
     stats = stats if stats is not None else SearchStats()
-    cfg = config or SearchConfig()
-    check_length_window(l, h, cfg.max_h)
+    check_length_window(l, h)
     if g1.n == 0:
         stats.outcome = True
         yield Mapping({}, {})
@@ -713,7 +665,7 @@ def _witnesses(g1, g2, l, h, strategy, config, stats):
         stats.outcome = False
         return
     t0 = time.perf_counter()
-    state = MatchState.create(g1, g2, l, h, cfg)
+    state = MatchState.create(g1, g2, l, h, config)
     stats.setup_time = time.perf_counter() - t0
     gen = _Engine(state, strategy, stats).solutions()
     emitted = 0

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from homeomatch import bench
 from homeomatch.bench import (
     DataSource,
     ExperimentSpec,
@@ -63,6 +64,29 @@ class TestSpec:
     def test_validation_rejects_bad_specs(self, bad):
         with pytest.raises(ValueError):
             tiny_spec(**bad).validate()
+
+    @pytest.mark.parametrize("bad", [
+        dict(sweep_variable="h", sweep_values=(2, 9)),
+        dict(sweep_variable="l", sweep_values=(1, 3), h=2),
+    ])
+    def test_every_sweep_window_is_checked_before_any_run(self, bad, monkeypatch):
+        def no_solving(*args, **kwargs):
+            raise AssertionError("a run started before the spec was rejected")
+
+        monkeypatch.setattr(bench, "ndshd1", no_solving)
+        monkeypatch.setattr(bench, "ndshd2", no_solving)
+        monkeypatch.setattr(bench, "random_labeled_graph", no_solving)
+        with pytest.raises(ValueError):
+            tiny_spec(**bad).validate()
+        with pytest.raises(ValueError):
+            run_experiment(tiny_spec(**bad))
+
+    def test_sweep_window_follows_the_h_cap(self, monkeypatch):
+        spec = tiny_spec(sweep_variable="h", sweep_values=(1, 7))
+        with pytest.raises(ValueError, match="cap"):
+            spec.validate()
+        monkeypatch.setenv("HOMEOMATCH_MAX_H", "7")
+        spec.validate()
 
 
 class TestRunExperiment:

@@ -75,6 +75,25 @@ class TestEnumerateAndSolve:
         assert rc == 0
         assert out.count("n 1 ") == 2  # two mapping blocks
 
+    @pytest.mark.parametrize("command,extra", [("enumerate", []), ("solve", []),
+                                               ("solve", ["--oracle"])])
+    @pytest.mark.parametrize("limit", ["0", "-1"])
+    def test_limit_below_one_is_exit_two(self, capsys, command, extra, limit):
+        with pytest.raises(SystemExit) as exc:
+            main([command, PATTERN, DATA, "--l", "1", "--h", "3", "--limit", limit] + extra)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--limit" in captured.err
+
+    @pytest.mark.parametrize("extra", [[], ["--oracle"]])
+    def test_solve_limit(self, capsys, extra):
+        # the worked example has 6 witnesses at (1, 3)
+        assert main(["solve", PATTERN, DATA, "--l", "1", "--h", "3"] + extra) == 0
+        assert capsys.readouterr().out.count("n 1 ") == 6
+        assert main(["solve", PATTERN, DATA, "--l", "1", "--h", "3", "--limit", "5"] + extra) == 0
+        assert capsys.readouterr().out.count("n 1 ") == 5
+
     def test_solve_oracle_matches_search(self, capsys):
         assert main(["solve", PATTERN, DATA, "--l", "2", "--h", "2", "--oracle"]) == 0
         oracle_out = capsys.readouterr().out

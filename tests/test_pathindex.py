@@ -98,9 +98,7 @@ class TestEnumeratePaths:
         enumerate_paths(worked_data, (2, 8), 1, 7)
         monkeypatch.delenv("HOMEOMATCH_MAX_H")
         with pytest.raises(ValueError, match="cap"):
-            enumerate_paths(worked_data, (2, 8), 1, 7, max_h=None)
-        # explicit argument wins over the default
-        enumerate_paths(worked_data, (2, 8), 1, 7, max_h=7)
+            enumerate_paths(worked_data, (2, 8), 1, 7)
 
 
 class TestRemovalAndUndo:

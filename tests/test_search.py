@@ -34,7 +34,7 @@ EXPECTED_PATHS = {(1, 2): (2, 1, 8), (1, 3): (2, 9, 6), (1, 4): (2, 3, 4),
 
 def full_snapshot(state):
     return (state.matrix.snapshot(), state.store.snapshot(), list(state.nm),
-            list(state.epm), set(state.used_inner))
+            list(state.epm), dict(state.node_image), dict(state.path_of_edge))
 
 
 class TestInitialCompatibleMatrix:
@@ -90,8 +90,7 @@ class TestStatePredicates:
         assert s.store.path_count(2, 8) == 2
 
     def test_edge_phase_dead_when_pending_pair_has_no_paths(self, worked_pattern, worked_data):
-        s = MatchState.create(worked_pattern, worked_data, 2, 2,
-                              SearchConfig(refine_matrix=False))
+        s = MatchState.create(worked_pattern, worked_data, 2, 2)
         s.push_node_match(1, 2)
         s.push_node_match(2, 8)
         token = s.store.remove_paths_through_vertex(1)
@@ -153,7 +152,6 @@ class TestRefinement:
         assert store.is_alive(p296)
         # the committed path's inner vertex cannot become a branch node
         assert all(9 not in row for row in s.matrix.rows[1:])
-        assert 9 in s.used_inner
 
     def test_length_one_path_match_changes_nothing_else(self):
         pattern = LabeledGraph(2, {1: "a", 2: "b"}, [(1, 2)])
@@ -162,10 +160,11 @@ class TestRefinement:
         s.push_node_match(1, 1)
         s.push_node_match(2, 2)
         alive_before = s.store.alive_count
+        rows_before = s.matrix.snapshot()
         (pid,) = s.path_candidates((1, 2))
         s.push_path_match((1, 2), pid)
         assert s.store.alive_count == alive_before
-        assert s.used_inner == set()
+        assert s.matrix.snapshot() == rows_before
         assert s.is_success()
 
     def test_path_match_restores_exactly(self, worked_pattern, worked_data):
@@ -388,7 +387,8 @@ class TestSearchHygiene:
                 gen.close()
                 assert s.matrix.snapshot() == matrix_before
                 assert s.store.snapshot() == store_before
-                assert s.nm == [] and s.epm == [] and s.used_inner == set()
+                assert s.nm == [] and s.epm == []
+                assert s.node_image == {} and s.path_of_edge == {}
 
     def test_calls_leave_no_cyclic_garbage(self, worked_pattern, worked_data):
         # Everything a call builds, the path index above all, must be freed
@@ -405,26 +405,6 @@ class TestSearchHygiene:
                 assert gc.collect() == 0, i
         finally:
             gc.enable()
-
-    def test_monotone_matrix_under_validation(self, worked_pattern, worked_data):
-        cfg = SearchConfig(validate=True)
-        w = ndshd1(worked_pattern, worked_data, 2, 2, config=cfg)
-        assert w is not None
-
-    def test_prune_toggles_preserve_solution_sets(self):
-        for seed in range(12):
-            rng = random.Random(seed)
-            g1 = random_labeled_graph(rng.randint(2, 4), 1.5, 3, seed + 21)
-            g2 = random_labeled_graph(rng.randint(5, 10), 3.0, 3, seed + 63)
-            base = {m.canonical_key() for m in enumerate_all(g1, g2, 1, 2)}
-            for kw in ({"prune_through_matched": False},
-                       {"prune_conflicts": False},
-                       {"refine_matrix": False}):
-                for strat in ("ndshd1", "ndshd2"):
-                    got = {m.canonical_key()
-                           for m in enumerate_all(g1, g2, 1, 2, strategy=strat,
-                                                  config=SearchConfig(**kw))}
-                    assert got == base, (seed, kw, strat)
 
     # (call, l, h, outcome, recursion_calls, states_explored, max_depth,
     #  backtracks, mean_backtrack_depth, trace as phase initial + depth per
@@ -627,13 +607,10 @@ def _instances(draw):
     return g1, g2, l, h
 
 
-def _configs(caps, refine_matrix=st.booleans()):
+def _configs(caps):
     return st.builds(
         SearchConfig,
         order=st.sampled_from(["mcf", "ascending"]),
-        prune_through_matched=st.booleans(),
-        prune_conflicts=st.booleans(),
-        refine_matrix=refine_matrix,
         witness_cap=st.sampled_from(caps),
     )
 
@@ -701,7 +678,7 @@ def test_refinement_record_skips_only_unchanged_cells(instance, config):
             fn(g1, g2, l, h, config=config)
         for strategy in ("ndshd1", "ndshd2"):
             list(enumerate_all(g1, g2, l, h, strategy=strategy, config=config))
-    assert bool(passes) == config.refine_matrix
+    assert passes
 
 
 class _ReferencePaths:
@@ -789,7 +766,7 @@ _WITNESS_CAPS = [0, 1, 2, 3, 5, SearchConfig.witness_cap]
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
-@given(instance=_instances(), config=_configs(_WITNESS_CAPS, refine_matrix=st.just(True)))
+@given(instance=_instances(), config=_configs(_WITNESS_CAPS))
 def test_witness_picker_matches_the_recursive_reference(instance, config):
     """Every cell refinement checks gets the reference picker's verdict and
     spends as many units of the cap, at the search's own witness cap and at
@@ -814,8 +791,7 @@ def test_witness_picker_matches_the_recursive_reference(instance, config):
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
-@given(instance=_instances(),
-       config=_configs([0, 1, SearchConfig.witness_cap], refine_matrix=st.just(True)))
+@given(instance=_instances(), config=_CONFIGS)
 def test_row_versions_name_row_contents(instance, config):
     """Whenever refinement starts or ends and after every pop, each row of
     the matrix has the contents it had at every other time it carried the
@@ -841,6 +817,65 @@ def test_row_versions_name_row_contents(instance, config):
 
     with mock.patch.object(MatchState, "refine_compatibility", observed_refine), \
             mock.patch.object(MatchState, "pop", observed_pop):
+        for fn in (ndshd1, ndshd2):
+            fn(g1, g2, l, h, config=config)
+        for strategy in ("ndshd1", "ndshd2"):
+            list(enumerate_all(g1, g2, l, h, strategy=strategy, config=config))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(instance=_instances(), config=_CONFIGS)
+def test_pruning_keeps_candidates_valid(instance, config):
+    """The search reads its candidates straight from the matrix rows and the
+    alive paths, so the pruning must keep them valid.  After every push and
+    every pop: no alive path has a matched vertex inside it, no alive path
+    but a committed one touches a committed inner vertex (this covers every
+    alive path of a pending edge), and no unmatched row holds a committed
+    inner vertex.  A push never adds a matrix cell, and a pushed path joins
+    the images of its edge's ends."""
+    g1, g2, l, h = instance
+    real_node, real_path, real_pop = (MatchState.push_node_match,
+                                      MatchState.push_path_match, MatchState.pop)
+    through = {}  # store -> data vertex -> ids of the stored paths it is inside
+
+    def check(state):
+        store = state.store
+        if store not in through:
+            through[store] = index = {}
+            for pid in range(len(store)):
+                for x in store.inner(pid):
+                    index.setdefault(x, []).append(pid)
+        index = through[store]
+        for vj in state.node_image.values():
+            assert not any(store.is_alive(p) for p in index.get(vj, ())), vj
+        committed = set(state.path_of_edge.values())
+        blocked = {x for pid in committed for x in store.inner(pid)}
+        for x in blocked:
+            touching = index.get(x, []) + store.paths_ending_at(x)
+            assert all(p in committed or not store.is_alive(p) for p in touching), x
+        for i in range(1, g1.n + 1):
+            if i not in state.node_image:
+                assert not blocked & state.matrix.rows[i], i
+
+    def checked_push(real):
+        def push(self, item, choice):
+            if real is real_path:
+                verts = self.store.vertices(choice)
+                ends = {self.node_image[item[0]], self.node_image[item[1]]}
+                assert {verts[0], verts[-1]} == ends, (item, verts)
+            before = [set(r) for r in self.matrix.rows]
+            real(self, item, choice)
+            assert all(r <= b for r, b in zip(self.matrix.rows, before))
+            check(self)
+        return push
+
+    def checked_pop(self):
+        real_pop(self)
+        check(self)
+
+    with mock.patch.object(MatchState, "push_node_match", checked_push(real_node)), \
+            mock.patch.object(MatchState, "push_path_match", checked_push(real_path)), \
+            mock.patch.object(MatchState, "pop", checked_pop):
         for fn in (ndshd1, ndshd2):
             fn(g1, g2, l, h, config=config)
         for strategy in ("ndshd1", "ndshd2"):
