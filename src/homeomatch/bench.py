@@ -41,7 +41,7 @@ import statistics
 import time
 from dataclasses import dataclass, field
 
-from .graph import LabeledGraph, load_graph, random_labeled_graph
+from .graph import LabeledGraph, check_random_graph_args, load_graph, random_labeled_graph
 from .pathindex import check_length_window
 from .search import SearchConfig, SearchStats, SearchTimeout, ndshd1, ndshd2
 
@@ -116,14 +116,16 @@ class ExperimentSpec:
                 raise ValueError(f"sweep variable must be one of {_SWEEPABLE}")
             if not self.sweep_values:
                 raise ValueError("sweep values must be nonempty")
-        # every point's window, before any instance is generated or solved
-        for value in self.sweep_values if self.sweep_variable else (None,):
-            _, _, l, h = _apply_sweep(self, value)
-            check_length_window(l, h)
         if self.pattern.file is None and self.pattern.labels not in ("unique", "random"):
             raise ValueError("pattern labels policy must be 'unique' or 'random'")
         if self.timeout_s <= 0:
             raise ValueError("timeout_s must be positive")
+        # every point's window and generator arguments, before any instance
+        # is generated or solved
+        for value in self.sweep_values if self.sweep_variable else (None,):
+            psrc, dsrc, l, h = _apply_sweep(self, value)
+            check_length_window(l, h)
+            _check_generator_args(psrc, dsrc)
 
     def algorithms(self) -> list[str]:
         return ["ndshd1", "ndshd2"] if self.algo == "both" else [self.algo]
@@ -189,11 +191,19 @@ def _apply_sweep(spec: ExperimentSpec, value):
     return p, d, l, h
 
 
+def _check_generator_args(psrc: PatternSource, dsrc: DataSource):
+    """Raise ValueError unless this point's instance can be generated."""
+    if psrc.file is None:
+        check_random_graph_args(psrc.n1, psrc.m1, dsrc.labels)
+        if psrc.labels == "unique" and dsrc.labels < psrc.n1:
+            raise ValueError("unique pattern labels need a label universe >= n1")
+    if dsrc.file is None:
+        check_random_graph_args(dsrc.n2, dsrc.m2, dsrc.labels)
+
+
 def _generated_pattern(src: PatternSource, universe: int, seed: int) -> LabeledGraph:
     g = random_labeled_graph(src.n1, src.m1, universe, seed)
     if src.labels == "unique":
-        if universe < src.n1:
-            raise ValueError("unique pattern labels need a label universe >= n1")
         rng = random.Random(f"{seed}-pattern-labels")
         tokens = rng.sample([f"L{i}" for i in range(universe)], src.n1)
         g = LabeledGraph(g.n, {v: tokens[v - 1] for v in g.vertices}, g.edges)

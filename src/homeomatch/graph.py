@@ -26,6 +26,7 @@ __all__ = [
     "serialize_graph",
     "load_graph",
     "save_graph",
+    "check_random_graph_args",
     "random_labeled_graph",
     "plant_subdivision",
 ]
@@ -221,6 +222,16 @@ def save_graph(path, g: LabeledGraph):
         fh.write(serialize_graph(g))
 
 
+def check_random_graph_args(n: int, avg_degree: float, label_count: int):
+    """Raise ValueError unless ``random_labeled_graph`` accepts these arguments."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if label_count < 1:
+        raise ValueError("label_count must be >= 1")
+    if avg_degree < 0 or avg_degree >= n:
+        raise ValueError(f"avg_degree must lie in [0, n); got {avg_degree} for n={n}")
+
+
 def random_labeled_graph(n: int, avg_degree: float, label_count: int,
                          seed: int) -> LabeledGraph:
     """Seeded connected random graph with uniformly distributed labels.
@@ -232,12 +243,7 @@ def random_labeled_graph(n: int, avg_degree: float, label_count: int,
     drawn uniformly from ``label_count`` tokens ``L0..L{k-1}``.  Output
     is fully determined by the arguments.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if label_count < 1:
-        raise ValueError("label_count must be >= 1")
-    if avg_degree < 0 or avg_degree >= n:
-        raise ValueError(f"avg_degree must lie in [0, n); got {avg_degree} for n={n}")
+    check_random_graph_args(n, avg_degree, label_count)
     rng = random.Random(seed)
     tokens = [f"L{i}" for i in range(label_count)]
     labels = {v: rng.choice(tokens) for v in range(1, n + 1)}

@@ -93,7 +93,7 @@ class PathStore:
     """
 
     __slots__ = ("l", "h", "candidates", "_cand_set", "_verts", "_alive",
-                 "alive_count", "by_pair", "_by_inner", "_by_end", "_pair_alive",
+                 "by_pair", "_by_inner", "_by_end", "_pair_alive",
                  "_reach", "clock", "stamps", "witness_tries")
 
     def __init__(self, l: int, h: int, candidates, verts: list[tuple[int, ...]],
@@ -111,7 +111,6 @@ class PathStore:
         self._verts = verts
         self.by_pair = by_pair
         self._alive = bytearray(b"\x01") * len(verts)
-        self.alive_count = len(verts)
         self._pair_alive = {key: len(pids) for key, pids in by_pair.items()}
         self._reach: dict[int, set[int]] = {v: set() for v in self.candidates}
         for u, w in by_pair:
@@ -185,7 +184,6 @@ class PathStore:
                         reach[w].discard(u)
                     stamps[u] = stamps[w] = clock
                     killed.append(pid)
-        self.alive_count -= len(killed)
         return UndoToken(tuple(killed))
 
     def remove_paths_through_vertex(self, v: int) -> UndoToken:
@@ -222,7 +220,6 @@ class PathStore:
                 reach[u].add(w)
                 reach[w].add(u)
             stamps[u] = stamps[w] = clock
-        self.alive_count += len(token.killed)
 
     def has_witnesses(self, v: int, images, rows, cap: int) -> bool:
         """Whether one alive path per requirement at ``v`` can be picked independent.
@@ -308,7 +305,7 @@ class PathStore:
         The clock and the stamps are left out: they only grow.
         """
         sets = {v: frozenset(s) for v, s in self._reach.items()}
-        return bytes(self._alive), dict(self._pair_alive), self.alive_count, sets
+        return bytes(self._alive), dict(self._pair_alive), sets
 
     def dump(self) -> str:
         """Debug text: one 'p <id> <v1> ... <vk>' line per alive path, ascending id."""

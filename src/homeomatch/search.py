@@ -38,18 +38,18 @@ a candidate is tried:
 Candidates are therefore read straight from the matrix rows and the
 store's alive paths.
 
-Backtracking restores state exactly: the matrix is snapshotted per
-state, the path store's alive flags, counters and reachability sets are
-rolled back through undo tokens in reverse order.  Only the store's
-batch clock and per-end stamps, the matrix's row-version counter and the
-refinement's record of verified cells outlive a pop; they only grow and
-never change a result.  A search owns its state and is single-threaded;
-the input graphs are never modified.
+Backtracking restores state exactly.  Matrix rows are immutable, so a
+change binds a new row and a snapshot is the list of row references;
+the path store's alive flags, counters and reachability sets are rolled
+back through undo tokens in reverse order.  Only the store's batch
+clock and per-end stamps and the refinement's record of verified cells
+outlive a pop; they only grow and never change a result.  A search
+owns its state and is single-threaded; the input graphs are never
+modified.
 """
 
 from __future__ import annotations
 
-import itertools
 import time
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -151,37 +151,24 @@ class SearchStats:
         return d
 
 
-class _MatrixSnapshot(list):
-    """Copies of rows 1..n1, plus the row versions they were taken at.
-
-    A list of the row copies, so that iterating a snapshot still yields
-    exactly its rows.
-    """
-
-    __slots__ = ("versions",)
-
-
 class CompatibleMatrix:
     """Binary candidate matrix between pattern rows and data columns.
 
-    Row i holds the set of data vertices still admissible for pattern
+    Row i is the frozenset of data vertices still admissible for pattern
     vertex i.  Within one state's lifetime refinement only ever clears
     cells; every 1 of any later state was a 1 of the initial matrix.
 
-    ``versions[i]`` names the contents of row i: every change to a row
-    must be followed by ``changed(i)``, which draws a new version from a
-    counter that only grows, and snapshot and restore carry the versions.
-    Two equal versions of a row therefore mean equal contents.
+    A row is never mutated: a change binds a new frozenset to ``rows[i]``,
+    so a snapshot is the list of row references and shares every row
+    with the live matrix until one is rebound.
     """
 
-    __slots__ = ("n1", "n2", "rows", "versions", "_next_version")
+    __slots__ = ("n1", "n2", "rows")
 
-    def __init__(self, n1: int, n2: int, rows=None):
+    def __init__(self, n1: int, n2: int):
         self.n1 = n1
         self.n2 = n2
-        self.rows: list[set[int]] = rows if rows is not None else [set() for _ in range(n1 + 1)]
-        self.versions = [0] * (n1 + 1)
-        self._next_version = itertools.count(1).__next__
+        self.rows: list[frozenset[int]] = [frozenset()] * (n1 + 1)
 
     @classmethod
     def initial(cls, g1: LabeledGraph, g2: LabeledGraph) -> "CompatibleMatrix":
@@ -199,7 +186,8 @@ class CompatibleMatrix:
             by_label.setdefault(g2.label(j), []).append(j)
         for i in g1.vertices:
             di = g1.degree(i)
-            m.rows[i] = {j for j in by_label.get(g1.label(i), ()) if di <= g2.degree(j)}
+            m.rows[i] = frozenset(j for j in by_label.get(g1.label(i), ())
+                                  if di <= g2.degree(j))
         return m
 
     def get(self, i: int, j: int) -> bool:
@@ -214,18 +202,12 @@ class CompatibleMatrix:
             cols.update(r)
         return tuple(sorted(cols))
 
-    def changed(self, i: int):
-        """Give row i a new version; call after every change to its contents."""
-        self.versions[i] = self._next_version()
-
-    def snapshot(self) -> list[set[int]]:
-        snap = _MatrixSnapshot([set(r) for r in self.rows[1:]])
-        snap.versions = self.versions[:]
-        return snap
+    def snapshot(self) -> list[frozenset[int]]:
+        """Rows 1..n1 by reference; no row is copied."""
+        return self.rows[1:]
 
     def restore(self, snap):
-        self.rows[1:] = [set(r) for r in snap]
-        self.versions[:] = snap.versions
+        self.rows[1:] = snap
 
 
 def initial_compatible_matrix(g1: LabeledGraph, g2: LabeledGraph) -> CompatibleMatrix:
@@ -238,9 +220,11 @@ class MatchState:
     All mutation goes through ``push_node_match`` / ``push_path_match``
     and is undone exactly by ``pop()``; a fully popped state has the
     matrix, matches and store contents of the freshly created one.  The
-    store's clock and stamps, the matrix's row-version counter and the
-    record of verified cells are not rolled back: they only grow, and no
-    result depends on their values.
+    matches live in ``node_image`` and ``path_of_edge`` alone, whose
+    insertion order is the push order, so a pop removes their newest
+    entry.  The store's clock and stamps and the record of verified cells
+    are not rolled back: they only grow, and no result depends on their
+    values.
     """
 
     def __init__(self, g1: LabeledGraph, g2: LabeledGraph, l: int, h: int,
@@ -252,8 +236,6 @@ class MatchState:
         self.matrix = matrix
         self.store = store
         self.config = config or SearchConfig()
-        self.nm: list[tuple[int, int]] = []
-        self.epm: list[tuple[tuple[int, int], int]] = []
         self.node_image: dict[int, int] = {}
         self.path_of_edge: dict[tuple[int, int], int] = {}
         self._trail: list = []  # (kind, matrix snapshot, undo token) per push
@@ -272,7 +254,7 @@ class MatchState:
 
     @property
     def depth(self) -> int:
-        return len(self.nm) + len(self.epm)
+        return len(self.node_image) + len(self.path_of_edge)
 
     # state transitions -------------------------------------------------
 
@@ -280,15 +262,12 @@ class MatchState:
         """Append a node match, enforce exclusivity, kill paths through vj, refine."""
         matrix = self.matrix
         snap = matrix.snapshot()
-        self.nm.append((vi, vj))
         self.node_image[vi] = vj
         rows = matrix.rows
-        rows[vi] = {vj}
-        matrix.changed(vi)
+        rows[vi] = frozenset((vj,))
         for i in range(1, self.g1.n + 1):
             if i != vi and vj in rows[i]:
-                rows[i].discard(vj)
-                matrix.changed(i)
+                rows[i] = rows[i] - {vj}
         self._trail.append(("node", snap, self.store.remove_paths_through_vertex(vj)))
         self._refine_pushed(hints=(vi,))
 
@@ -297,21 +276,13 @@ class MatchState:
         store = self.store
         token = store.remove_paths_conflicting_with(pid)
         self._trail.append(("edge", self.matrix.snapshot(), token))
-        self.epm.append((edge, pid))
         self.path_of_edge[edge] = pid
         inner = store.inner(pid)
         if inner:
-            matrix = self.matrix
-            rows = matrix.rows
+            rows = self.matrix.rows
             for i in range(1, self.g1.n + 1):
-                if i not in self.node_image:
-                    # difference_update on every row, as it also compacts
-                    # a table that discards have left sparse
-                    row = rows[i]
-                    size = len(row)
-                    row.difference_update(inner)
-                    if len(row) != size:
-                        matrix.changed(i)
+                if i not in self.node_image and not rows[i].isdisjoint(inner):
+                    rows[i] = rows[i].difference(inner)
         self._refine_pushed(hints=edge)
 
     def _refine_pushed(self, hints):
@@ -328,17 +299,15 @@ class MatchState:
         self.store.undo(token)
         self.matrix.restore(snap)
         if kind == "node":
-            vi, _vj = self.nm.pop()
-            del self.node_image[vi]
+            self.node_image.popitem()
         else:
-            edge, _pid = self.epm.pop()
-            del self.path_of_edge[edge]
+            self.path_of_edge.popitem()
 
     # state predicates ---------------------------------------------------
 
     def is_success(self) -> bool:
         """Complete mapping state: all nodes and all edges matched."""
-        return len(self.nm) == self.g1.n and len(self.epm) == self.g1.m
+        return len(self.node_image) == self.g1.n and len(self.path_of_edge) == self.g1.m
 
     def is_dead(self, phase: str) -> bool:
         """Provably unextendable state.
@@ -432,15 +401,16 @@ class MatchState:
         A cell's verdict depends only on its neighbours' images or rows,
         the witness cap and the alive paths ending at its column.  Each
         scanned row therefore records its neighbour key (each matched
-        neighbour's image, each unmatched neighbour's row version,
-        complemented so it is negative), the store clock and the cells it
-        kept; a later scan with the same key re-checks only the cells it
-        did not keep or whose column's stamp is newer.  The configured
-        deadline is polled once per row.
+        neighbour's image, each unmatched neighbour's row object), the
+        store clock and the row it kept; a later scan with an equal key
+        re-checks only the cells it did not keep or whose column's stamp
+        is newer.  Rows are compared by identity first, then by contents,
+        and equal contents give equal verdicts.  The cells a scan clears
+        are bound as one new row.  The configured deadline is polled once
+        per row.
         """
         g1 = self.g1
-        matrix = self.matrix
-        rows, versions = matrix.rows, matrix.versions
+        rows = self.matrix.rows
         img = self.node_image
         order = []
         seen = set()
@@ -471,7 +441,7 @@ class MatchState:
                     key.append(fu)
                 else:
                     neighbor_rows.append(rows[u])
-                    key.append(~versions[u])  # negative, never an image
+                    key.append(rows[u])
             if not matched_images and not neighbor_rows:
                 continue
             key = tuple(key)
@@ -480,13 +450,13 @@ class MatchState:
                 _, clock, kept = last
             else:
                 clock, kept = 0, ()
-            # A check never reads the cell's own row, so the cells to
-            # re-check can be listed before any of them is cleared.
-            for vj in [vj for vj in sorted(row) if vj not in kept or stamps[vj] > clock]:
-                if not has_witnesses(vj, matched_images, neighbor_rows, cap):
-                    row.discard(vj)
-                    matrix.changed(vi)
-            verified[vi] = (key, store.clock, frozenset(row))
+            # A check never reads the cell's own row, so the cells it
+            # clears can be bound as one new row after the scan.
+            cleared = [vj for vj in sorted(row) if (vj not in kept or stamps[vj] > clock)
+                       and not has_witnesses(vj, matched_images, neighbor_rows, cap)]
+            if cleared:
+                rows[vi] = row = row.difference(cleared)
+            verified[vi] = (key, store.clock, row)
             if not row:
                 return
 
@@ -498,10 +468,10 @@ def new_edges_emergent(state: MatchState, g1: LabeledGraph) -> list[tuple[int, i
     ones; for a connected pattern the list is empty only at the very
     first node match.
     """
-    if not state.nm:
-        return []
-    vi = state.nm[-1][0]
     img = state.node_image
+    if not img:
+        return []
+    vi = next(reversed(img))
     out = []
     for u in g1.neighbors(vi):
         if u in img:
@@ -645,7 +615,7 @@ class _Engine:
         s = self.state
         node_map = dict(sorted(s.node_image.items()))
         edge_paths = {}
-        for edge, pid in s.epm:
+        for edge, pid in s.path_of_edge.items():
             verts = s.store.vertices(pid)
             if verts[0] != node_map[edge[0]]:
                 verts = tuple(reversed(verts))

@@ -68,6 +68,10 @@ class TestSpec:
     @pytest.mark.parametrize("bad", [
         dict(sweep_variable="h", sweep_values=(2, 9)),
         dict(sweep_variable="l", sweep_values=(1, 3), h=2),
+        dict(sweep_variable="labels", sweep_values=(10, 20, 4),
+             pattern=PatternSource(n1=6, m1=2, labels="unique")),
+        dict(sweep_variable="m2", sweep_values=(3, 30)),
+        dict(sweep_variable="n1", sweep_values=(3, 0)),
     ])
     def test_every_sweep_window_is_checked_before_any_run(self, bad, monkeypatch):
         def no_solving(*args, **kwargs):

@@ -35,15 +35,13 @@ class TestCandidateBranchNodes:
 
     def test_all_zero_matrix(self, worked_pattern, worked_data):
         m0 = initial_compatible_matrix(worked_pattern, worked_data)
-        for row in m0.rows[1:]:
-            row.clear()
+        m0.rows[1:] = [frozenset()] * m0.n1
         assert candidate_branch_nodes(m0) == ()
 
     def test_all_ones_matrix(self):
         g = LabeledGraph(3, {1: "a", 2: "a", 3: "a"}, [(1, 2), (2, 3)])
         m0 = initial_compatible_matrix(g, g)
-        for row in m0.rows[1:]:
-            row.update(g.vertices)
+        m0.rows[1:] = [frozenset(g.vertices)] * m0.n1
         assert candidate_branch_nodes(m0) == (1, 2, 3)
 
 
@@ -153,7 +151,7 @@ class TestRemovalAndUndo:
         store = enumerate_paths(tri, (1, 2, 3), 1, 1)
         token = store.remove_paths_conflicting_with(0)
         assert token.killed == ()
-        assert store.alive_count == 3
+        assert all(store.is_alive(pid) for pid in range(len(store))) and len(store) == 3
 
     def test_remove_conflicting_validates_pid(self, worked_pattern, worked_data):
         m0 = initial_compatible_matrix(worked_pattern, worked_data)
@@ -223,7 +221,7 @@ def assert_derived_structures(store, last=None):
             reach[u].add(w)
             reach[w].add(u)
             alive_pairs[u, w] += 1
-    assert store.alive_count == sum(alive_pairs.values())
+    assert sum(map(store.is_alive, range(len(store)))) == sum(alive_pairs.values())
     for v in store.candidates:
         assert store.reachable_from(v) == reach[v], v
         assert store.paths_ending_at(v) == ends[v], v
