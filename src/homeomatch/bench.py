@@ -15,6 +15,8 @@ An experiment spec is a JSON object:
       "order": "mcf"
     }
 
+Only ``name`` is required; a key not shown here is rejected.
+
 Pattern and data graphs are regenerated per repetition from seeds
 derived deterministically from ``seed_base``, the sweep point index and
 the repetition index, so reruns of the same spec produce identical
@@ -39,7 +41,7 @@ import json
 import random
 import statistics
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .graph import LabeledGraph, check_random_graph_args, load_graph, random_labeled_graph
 from .pathindex import check_length_window
@@ -132,9 +134,16 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ExperimentSpec":
-        pattern = obj.get("pattern", {})
-        data = obj.get("data", {})
-        sweep = obj.get("sweep") or {}
+        """Parse a spec object; a malformed spec or an unknown key raises ValueError."""
+        obj = _json_object(obj, "spec",
+                           _field_names(cls) - {"sweep_variable", "sweep_values"} | {"sweep"})
+        if "name" not in obj:
+            raise ValueError("spec has no name")
+        pattern = _json_object(obj.get("pattern", {}), "spec pattern", _field_names(PatternSource))
+        data = _json_object(obj.get("data", {}), "spec data", _field_names(DataSource))
+        sweep = _json_object(obj.get("sweep", {}), "spec sweep", {"variable", "values"})
+        if not isinstance(sweep.get("values", []), list):
+            raise ValueError("sweep values must be a list")
         spec = cls(
             name=obj["name"],
             pattern=PatternSource(
@@ -166,6 +175,20 @@ class ExperimentSpec:
     def load(cls, path) -> "ExperimentSpec":
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_dict(json.load(fh))
+
+
+def _field_names(cls) -> set[str]:
+    return {f.name for f in fields(cls)}
+
+
+def _json_object(value, where: str, allowed: set[str]) -> dict:
+    """``value`` checked to be a JSON object whose keys all lie in ``allowed``."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{where} must be a JSON object")
+    unknown = sorted(set(value) - allowed)
+    if unknown:
+        raise ValueError(f"unknown key(s) in {where}: {', '.join(unknown)}")
+    return value
 
 
 def _apply_sweep(spec: ExperimentSpec, value):
@@ -223,12 +246,10 @@ def _instance(psrc: PatternSource, dsrc: DataSource, pattern_seed: int,
     return g1, g2
 
 
-def run_experiment(spec: ExperimentSpec, include_timing: bool = True,
-                   progress=None):
+def run_experiment(spec: ExperimentSpec):
     """Execute the whole sweep; returns (run rows, summary rows).
 
-    Rows come back in deterministic sweep order.  ``progress``, when
-    given, is called with each finished run row.
+    Rows come back in deterministic sweep order.
     """
     spec.validate()
     points = spec.sweep_values if spec.sweep_variable else (None,)
@@ -274,8 +295,6 @@ def run_experiment(spec: ExperimentSpec, include_timing: bool = True,
                     "states_explored": stats.states_explored,
                 }
                 rows.append(row)
-                if progress is not None:
-                    progress(row)
     return rows, summarize(spec.name, rows)
 
 

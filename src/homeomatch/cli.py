@@ -146,7 +146,7 @@ def cmd_solve(args) -> int:
 def cmd_bench(args) -> int:
     spec = ExperimentSpec.load(args.spec)
     include_timing = not args.no_timing
-    rows, summary = run_experiment(spec, include_timing=include_timing)
+    rows, summary = run_experiment(spec)
     write_runs_csv(args.out, rows, include_timing=include_timing)
     summary_path = args.summary or (args.out + ".summary.csv")
     write_summary_csv(summary_path, summary, include_timing=include_timing)

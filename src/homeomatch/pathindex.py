@@ -85,6 +85,13 @@ class PathStore:
     opposite endpoints still joined to it by an alive path, which gives
     the refinement an O(1) reachability test.
 
+    A removal batch kills exactly the alive paths running through the
+    vertices it takes, that is, having one of them strictly inside.
+    Paths that merely end at a taken vertex stay alive: those ending at a
+    matched image are the candidates for its edges, and the search never
+    reads those ending at a committed inner vertex, which is never an
+    image, a row entry or a refined cell.
+
     ``clock`` counts batches: each ``remove_paths_*`` call and each
     ``undo`` advances it by one.  ``stamps[v]`` is the clock of the last
     batch that killed or revived a path ending at ``v`` (0 if none did).
@@ -191,20 +198,17 @@ class PathStore:
         return self._kill_all((self._by_inner.get(v, ()),))
 
     def remove_paths_conflicting_with(self, pid: int) -> UndoToken:
-        """Deactivate every other alive path that touches an inner vertex of this one.
+        """Deactivate every other alive path running through an inner vertex of this one.
 
-        Touching means containing the vertex anywhere, as an inner vertex
-        or as an end.  The committed path itself stays alive.
+        Running through means having the vertex strictly inside.  Paths
+        that merely end at such a vertex stay alive, as does the committed
+        path itself.
         """
         if not 0 <= pid < len(self._verts):
             raise ValueError(f"no path with id {pid}")
         if not self._alive[pid]:
             raise ValueError(f"path {pid} is not alive")
-        lists = []
-        for x in self._verts[pid][1:-1]:
-            lists.append(self._by_inner.get(x, ()))
-            lists.append(self._by_end.get(x, ()))
-        return self._kill_all(lists, keep=pid)
+        return self._kill_all([self._by_inner[x] for x in self._verts[pid][1:-1]], keep=pid)
 
     def undo(self, token: UndoToken):
         self.clock = clock = self.clock + 1

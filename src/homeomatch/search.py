@@ -23,14 +23,17 @@ matrix (pattern rows over data columns, seeded by the label-and-degree
 rule) and a :class:`~homeomatch.pathindex.PathStore` of bounded simple
 paths between candidate branch nodes.  Every match shrinks them, and
 soundness rests on what each shrink keeps true, not on a re-check when
-a candidate is tried:
+a candidate is tried.  A match takes data vertices: a node match its
+image, a path match the path's inner vertices.  Both apply one rule:
 
-* a node match kills all paths running through the matched data vertex
-  (branch nodes can only be path ends), so no alive path of a pending
-  edge has a matched vertex inside it;
-* a path match kills all paths touching its inner vertices and strips
-  those vertices from every unmatched row, so no alive path of a
-  pending edge and no unmatched row holds a committed inner vertex;
+* a taken vertex kills every alive path running through it, that is,
+  having it strictly inside (the committed path itself excepted), and
+  is stripped from every unmatched row.  So no alive path of a pending
+  edge has a taken vertex inside it, and no unmatched row holds one.
+  A path of a pending edge ends at two matched images, and no matched
+  image is a committed inner vertex, so such a path holds no committed
+  inner vertex anywhere.  Paths that merely end at a committed inner
+  vertex stay alive but are never read;
 * at the root and after every match, node-candidate cells are cleared
   when no selection of pairwise-independent witness paths can serve
   the cell's incident pattern edges.
@@ -259,34 +262,41 @@ class MatchState:
     # state transitions -------------------------------------------------
 
     def push_node_match(self, vi: int, vj: int):
-        """Append a node match, enforce exclusivity, kill paths through vj, refine."""
-        matrix = self.matrix
-        snap = matrix.snapshot()
+        """Match vi to vj, which takes vj.
+
+        Kills the paths running through vj and binds row vi to {vj}; then
+        ``_take`` strips vj from the unmatched rows and refines.
+        """
+        self._trail.append(("node", self.matrix.snapshot(),
+                            self.store.remove_paths_through_vertex(vj)))
         self.node_image[vi] = vj
-        rows = matrix.rows
-        rows[vi] = frozenset((vj,))
-        for i in range(1, self.g1.n + 1):
-            if i != vi and vj in rows[i]:
-                rows[i] = rows[i] - {vj}
-        self._trail.append(("node", snap, self.store.remove_paths_through_vertex(vj)))
-        self._refine_pushed(hints=(vi,))
+        self.matrix.rows[vi] = frozenset((vj,))
+        self._take((vj,), hints=(vi,))
 
     def push_path_match(self, edge: tuple[int, int], pid: int):
-        """Append an edge-path match, kill its conflicts, strip its inner vertices, refine."""
-        store = self.store
-        token = store.remove_paths_conflicting_with(pid)
-        self._trail.append(("edge", self.matrix.snapshot(), token))
-        self.path_of_edge[edge] = pid
-        inner = store.inner(pid)
-        if inner:
-            rows = self.matrix.rows
-            for i in range(1, self.g1.n + 1):
-                if i not in self.node_image and not rows[i].isdisjoint(inner):
-                    rows[i] = rows[i].difference(inner)
-        self._refine_pushed(hints=edge)
+        """Commit path pid to edge, which takes the path's inner vertices.
 
-    def _refine_pushed(self, hints):
-        """Refine after a push; a refinement cut by the deadline undoes the push."""
+        Kills the other paths running through them; then ``_take`` strips
+        them from the unmatched rows and refines.
+        """
+        store = self.store
+        self._trail.append(("edge", self.matrix.snapshot(),
+                            store.remove_paths_conflicting_with(pid)))
+        self.path_of_edge[edge] = pid
+        self._take(store.inner(pid), hints=edge)
+
+    def _take(self, taken, hints):
+        """Strip the taken vertices from every unmatched row, then refine.
+
+        A matched row holds only its own image, never a taken vertex, so
+        only unmatched rows can change.  A refinement cut by the deadline
+        undoes the push.
+        """
+        rows = self.matrix.rows
+        img = self.node_image
+        for i in range(1, self.g1.n + 1):
+            if i not in img and not rows[i].isdisjoint(taken):
+                rows[i] = rows[i].difference(taken)
         try:
             self.refine_compatibility(hints=hints)
         except SearchTimeout:
@@ -309,29 +319,27 @@ class MatchState:
         """Complete mapping state: all nodes and all edges matched."""
         return len(self.node_image) == self.g1.n and len(self.path_of_edge) == self.g1.m
 
-    def is_dead(self, phase: str) -> bool:
+    def is_dead(self) -> bool:
         """Provably unextendable state.
 
-        Node phase: some unmatched pattern row has no candidates left.
-        Edge phase: some pattern edge with both endpoints matched and no
-        committed path has zero alive candidate paths between the images.
+        Either some unmatched pattern row has no candidates left, or some
+        pattern edge with both endpoints matched and no committed path has
+        zero alive paths between the images.  Once every row is matched
+        the first question is vacuous.
         """
-        if phase == "node":
-            rows = self.matrix.rows
-            img = self.node_image
-            return any(not rows[i] for i in range(1, self.g1.n + 1) if i not in img)
-        if phase == "edge":
-            img = self.node_image
-            store = self.store
-            for e in self.g1.edges:
-                if e in self.path_of_edge:
-                    continue
-                fa = img.get(e[0])
-                fb = img.get(e[1])
-                if fa is not None and fb is not None and store.pair_count(fa, fb) == 0:
-                    return True
-            return False
-        raise ValueError(f"unknown phase {phase!r}")
+        rows = self.matrix.rows
+        img = self.node_image
+        if any(not rows[i] for i in range(1, self.g1.n + 1) if i not in img):
+            return True
+        store = self.store
+        for e in self.g1.edges:
+            if e in self.path_of_edge:
+                continue
+            fa = img.get(e[0])
+            fb = img.get(e[1])
+            if fa is not None and fb is not None and store.pair_count(fa, fb) == 0:
+                return True
+        return False
 
     # candidate generation -----------------------------------------------
 
@@ -371,8 +379,8 @@ class MatchState:
         """Alive paths joining the edge's images, in ascending id order.
 
         Every one of them may be committed: the kills of earlier matches
-        leave no alive path with a matched vertex inside it or a committed
-        inner vertex anywhere on it.
+        leave no alive path with a taken vertex inside it, and its ends are
+        matched images, never committed inner vertices.
         """
         img = self.node_image
         return self.store.alive_between(img[edge[0]], img[edge[1]])
@@ -565,11 +573,11 @@ class _Engine:
         two_level = self.two_level
         while True:
             self._enter()
+            if phase == "node" and not two_level and s.is_success():
+                return self._solution()
+            if s.is_dead():
+                return None
             if phase == "node":
-                if not two_level and s.is_success():
-                    return self._solution()
-                if s.is_dead("node") or s.is_dead("edge"):
-                    return None
                 vi = s.select_row()
                 if vi is not None:
                     stack.append(_Frame("node", vi, iter(s.node_candidates(vi))))
@@ -578,8 +586,6 @@ class _Engine:
                     return None
                 phase = "edge"
                 continue
-            if s.is_dead("edge") or (not two_level and s.is_dead("node")):
-                return None
             if two_level:
                 edge = s.select_pending_edge()
                 if edge is None:

@@ -51,6 +51,20 @@ class TestSpec:
         assert spec.algorithms() == ["ndshd1"]
         assert spec.sweep_values == (40, 60)
 
+    @pytest.mark.parametrize("obj", [
+        {"l": 1, "h": 2},
+        {"name": "x", "sweep": {"variable": "n2", "values": 5}},
+        [{"name": "x"}],
+        {"name": "x", "repetition": 3},
+        {"name": "x", "pattern": [4, 3]},
+        {"name": "x", "data": {"n2": 40, "nodes": 40}},
+        {"name": "x", "sweep": {"variable": "n2", "values": [40], "step": 20}},
+    ], ids=["no-name", "values-not-a-list", "not-an-object", "unknown-key",
+            "section-not-an-object", "unknown-data-key", "unknown-sweep-key"])
+    def test_from_dict_rejects_malformed_specs(self, obj):
+        with pytest.raises(ValueError):
+            ExperimentSpec.from_dict(obj)
+
     @pytest.mark.parametrize("bad", [
         dict(algo="fastest"),
         dict(repetitions=0),
@@ -162,7 +176,7 @@ class TestCsvOutput:
         assert list(parsed[0].keys()) == SUMMARY_FIELDS
 
     def test_no_timing_blanks_only_time_columns(self, tmp_path):
-        rows, _ = run_experiment(tiny_spec(), include_timing=False)
+        rows, _ = run_experiment(tiny_spec())
         out = tmp_path / "runs.csv"
         write_runs_csv(out, rows, include_timing=False)
         with open(out, newline="") as fh:
@@ -191,6 +205,14 @@ class TestBenchCommand:
                          (tmp_path / f"runs_{tag}.csv.summary.csv").read_bytes()))
         assert outs[0] == outs[1]
         assert "algo" in capsys.readouterr().out
+
+    def test_cli_bench_unknown_spec_key_is_exit_two(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"name": "x", "repetition": 3}))
+        out = tmp_path / "o.csv"
+        assert main(["bench", str(spec), "--out", str(out)]) == 2
+        assert "unknown key(s) in spec: repetition" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_cli_bench_bad_spec(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -181,16 +181,24 @@ class TestRemovalAndUndo:
             initial = store.snapshot()
             stack = []
             for _ in range(100):
+                alive = [p for p in range(len(store)) if store.is_alive(p)]
                 if stack and rng.random() < 0.4:
                     store.undo(stack.pop())
                 elif rng.random() < 0.6:
-                    stack.append(store.remove_paths_through_vertex(
-                        rng.randrange(1, g.n + 1)))
+                    v = rng.randrange(1, g.n + 1)
+                    stack.append(store.remove_paths_through_vertex(v))
+                    # a batch kills exactly the alive paths the taken vertex is inside
+                    assert sorted(stack[-1].killed) == [
+                        p for p in alive if v in store.inner(p)], (l, seed, v)
                 else:
-                    alive = [p for p in range(len(store)) if store.is_alive(p)]
                     if not alive:
                         continue
-                    stack.append(store.remove_paths_conflicting_with(rng.choice(alive)))
+                    pid = rng.choice(alive)
+                    stack.append(store.remove_paths_conflicting_with(pid))
+                    taken = set(store.inner(pid))
+                    assert sorted(stack[-1].killed) == [
+                        p for p in alive if p != pid and taken & set(store.inner(p))
+                    ], (l, seed, pid)
                 last = assert_derived_structures(store, last)
             while stack:
                 store.undo(stack.pop())

@@ -76,16 +76,15 @@ class TestInitialCompatibleMatrix:
 class TestStatePredicates:
     def test_dead_when_a_row_is_empty(self, worked_pattern, worked_data):
         s = MatchState.create(worked_pattern, worked_data, 2, 2)
-        assert not s.is_dead("node")
+        assert not s.is_dead()
         s.matrix.rows[3] = frozenset()
-        assert s.is_dead("node")
+        assert s.is_dead()
 
     def test_not_dead_in_documented_partial_state(self, worked_pattern, worked_data):
         s = MatchState.create(worked_pattern, worked_data, 2, 2)
         s.push_node_match(1, 2)
         s.push_node_match(2, 8)
-        assert not s.is_dead("node")
-        assert not s.is_dead("edge")
+        assert not s.is_dead()
         # pending edge (1,2) has images 2 and 8 joined by two alive paths
         assert s.store.path_count(2, 8) == 2
 
@@ -96,15 +95,10 @@ class TestStatePredicates:
         token = s.store.remove_paths_through_vertex(1)
         token2 = s.store.remove_paths_through_vertex(9)
         assert s.store.path_count(2, 8) == 0
-        assert s.is_dead("edge")
+        assert s.is_dead()
         s.store.undo(token2)
         s.store.undo(token)
-        assert not s.is_dead("edge")
-
-    def test_unknown_phase_rejected(self, worked_pattern, worked_data):
-        s = MatchState.create(worked_pattern, worked_data, 2, 2)
-        with pytest.raises(ValueError):
-            s.is_dead("both")
+        assert not s.is_dead()
 
     def test_success_requires_full_nm_and_epm(self, worked_pattern, worked_data):
         s = MatchState.create(worked_pattern, worked_data, 2, 2)
@@ -188,7 +182,7 @@ class TestRefinement:
         assert s.matrix.get(2, 2)
         s.push_node_match(1, 1)
         assert not s.matrix.get(2, 2)
-        assert s.is_dead("node")
+        assert s.is_dead()
         assert ndshd1(pattern, data, 2, 2) is None
         assert brute_force_solve(pattern, data, 2, 2) == []
 
@@ -200,7 +194,7 @@ class TestRefinement:
         assert s.matrix.get(1, 1) and s.matrix.get(2, 2)
         s.refine_compatibility()
         # no path joins the two labeled candidates, so both rows clear
-        assert s.is_dead("node")
+        assert s.is_dead()
 
     def test_cleared_cells_never_appear_in_oracle_solutions(self):
         for seed in range(20):
@@ -793,10 +787,12 @@ def test_pruning_keeps_candidates_valid(instance, config):
     """The search reads its candidates straight from the matrix rows and the
     alive paths, so the pruning must keep them valid.  After every push and
     every pop: no alive path has a matched vertex inside it, no alive path
-    but a committed one touches a committed inner vertex (this covers every
-    alive path of a pending edge), and no unmatched row holds a committed
-    inner vertex.  Every matrix row is a frozenset, a push never adds a
-    matrix cell, and a pushed path joins the images of its edge's ends."""
+    but a committed one has a committed inner vertex inside it, no matched
+    image and no unmatched row entry is a committed inner vertex, and every
+    path candidate of a pending edge has no taken vertex inside it and no
+    committed inner vertex anywhere on it.  Every matrix row is a frozenset,
+    a push never adds a matrix cell, and a pushed path joins the images of
+    its edge's ends."""
     g1, g2, l, h = instance
     real_node, real_path, real_pop = (MatchState.push_node_match,
                                       MatchState.push_path_match, MatchState.pop)
@@ -810,13 +806,19 @@ def test_pruning_keeps_candidates_valid(instance, config):
                 for x in store.inner(pid):
                     index.setdefault(x, []).append(pid)
         index = through[store]
-        for vj in state.node_image.values():
+        images = set(state.node_image.values())
+        for vj in images:
             assert not any(store.is_alive(p) for p in index.get(vj, ())), vj
         committed = set(state.path_of_edge.values())
         blocked = {x for pid in committed for x in store.inner(pid)}
         for x in blocked:
-            touching = index.get(x, []) + store.paths_ending_at(x)
-            assert all(p in committed or not store.is_alive(p) for p in touching), x
+            assert all(p in committed or not store.is_alive(p) for p in index[x]), x
+        assert not images & blocked
+        taken = images | blocked
+        for edge in state.pending_edges():
+            for pid in state.path_candidates(edge):
+                assert not taken & set(store.inner(pid)), (edge, pid)
+                assert not blocked & set(store.vertices(pid)), (edge, pid)
         assert all(type(row) is frozenset for row in state.matrix.rows)
         for i in range(1, g1.n + 1):
             if i not in state.node_image:
