@@ -15,7 +15,14 @@ An experiment spec is a JSON object:
       "order": "mcf"
     }
 
-Only ``name`` is required; a key not shown here is rejected.
+Only ``name`` is required; a key not shown here is rejected.  The
+``PatternSource``, ``DataSource`` and ``ExperimentSpec`` fields define
+each key's type and default: an ``int`` field takes a JSON integer (not
+a bool), a ``float`` field any number, a ``str`` field a string, and
+``file`` a string or null.  Sweep values are checked like the field they
+set.  A sweep needs both a variable and nonempty values, and the
+variable must be read by a generated section: ``n1``/``m1`` by the
+pattern, ``n2``/``m2`` by the data, ``labels`` by either.
 
 Pattern and data graphs are regenerated per repetition from seeds
 derived deterministically from ``seed_base``, the sweep point index and
@@ -41,11 +48,11 @@ import json
 import random
 import statistics
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 from .graph import LabeledGraph, check_random_graph_args, load_graph, random_labeled_graph
 from .pathindex import check_length_window
-from .search import SearchConfig, SearchStats, SearchTimeout, ndshd1, ndshd2
+from .search import STRATEGIES, SearchConfig, SearchStats, SearchTimeout, ndshd1, ndshd2
 
 __all__ = [
     "PatternSource",
@@ -72,7 +79,17 @@ SUMMARY_FIELDS = [
     "calls_max", "calls_mean", "calls_std",
 ]
 
-_SWEEPABLE = ("n1", "m1", "n2", "m2", "labels", "l", "h")
+# sweep variable -> the section it sets; None is the spec itself
+_SWEEP_SECTIONS = {"n1": "pattern", "m1": "pattern", "n2": "data", "m2": "data",
+                   "labels": "data", "l": None, "h": None}
+
+# annotated field type -> (accepted JSON value types, their description)
+_JSON_TYPES = {
+    "int": ((int,), "an integer"),
+    "float": ((int, float), "a number"),
+    "str": ((str,), "a string"),
+    "str | None": ((str, type(None)), "a string or null"),
+}
 
 
 @dataclass(frozen=True)
@@ -107,67 +124,44 @@ class ExperimentSpec:
     order: str = "mcf"
 
     def validate(self):
-        if self.algo not in ("ndshd1", "ndshd2", "both"):
+        if self.algo not in (*STRATEGIES, "both"):
             raise ValueError(f"algo must be ndshd1, ndshd2 or both; got {self.algo!r}")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
-        if self.order not in ("mcf", "ascending"):
-            raise ValueError(f"unknown order {self.order!r}")
-        if self.sweep_variable is not None:
-            if self.sweep_variable not in _SWEEPABLE:
-                raise ValueError(f"sweep variable must be one of {_SWEEPABLE}")
-            if not self.sweep_values:
-                raise ValueError("sweep values must be nonempty")
+        SearchConfig(order=self.order)  # raises on an unknown order
+        if self.sweep_variable is not None or self.sweep_values:
+            _check_sweep(self)
         if self.pattern.file is None and self.pattern.labels not in ("unique", "random"):
             raise ValueError("pattern labels policy must be 'unique' or 'random'")
-        if self.timeout_s <= 0:
+        if not self.timeout_s > 0:
             raise ValueError("timeout_s must be positive")
         # every point's window and generator arguments, before any instance
         # is generated or solved
-        for value in self.sweep_values if self.sweep_variable else (None,):
-            psrc, dsrc, l, h = _apply_sweep(self, value)
-            check_length_window(l, h)
-            _check_generator_args(psrc, dsrc)
+        for value in self.sweep_values or (None,):
+            point = _sweep_point(self, value)
+            check_length_window(point.l, point.h)
+            _check_generator_args(point.pattern, point.data)
 
     def algorithms(self) -> list[str]:
-        return ["ndshd1", "ndshd2"] if self.algo == "both" else [self.algo]
+        return list(STRATEGIES) if self.algo == "both" else [self.algo]
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ExperimentSpec":
         """Parse a spec object; a malformed spec or an unknown key raises ValueError."""
-        obj = _json_object(obj, "spec",
-                           _field_names(cls) - {"sweep_variable", "sweep_values"} | {"sweep"})
+        top_keys = {f.name for f in fields(cls)} - {"sweep_variable", "sweep_values"} | {"sweep"}
+        obj = dict(_json_object(obj, "spec", top_keys))
         if "name" not in obj:
             raise ValueError("spec has no name")
-        pattern = _json_object(obj.get("pattern", {}), "spec pattern", _field_names(PatternSource))
-        data = _json_object(obj.get("data", {}), "spec data", _field_names(DataSource))
-        sweep = _json_object(obj.get("sweep", {}), "spec sweep", {"variable", "values"})
-        if not isinstance(sweep.get("values", []), list):
+        sweep = _json_object(obj.pop("sweep", {}), "spec sweep", {"variable", "values"})
+        values = sweep.get("values", [])
+        if not isinstance(values, list):
             raise ValueError("sweep values must be a list")
-        spec = cls(
-            name=obj["name"],
-            pattern=PatternSource(
-                n1=int(pattern.get("n1", 4)),
-                m1=float(pattern.get("m1", 3.0)),
-                labels=pattern.get("labels", "unique"),
-                file=pattern.get("file"),
-            ),
-            data=DataSource(
-                n2=int(data.get("n2", 100)),
-                m2=float(data.get("m2", 4.0)),
-                labels=int(data.get("labels", 10)),
-                file=data.get("file"),
-            ),
-            l=int(obj.get("l", 1)),
-            h=int(obj.get("h", 3)),
-            algo=obj.get("algo", "both"),
-            repetitions=int(obj.get("repetitions", 1)),
-            seed_base=int(obj.get("seed_base", 1)),
-            sweep_variable=sweep.get("variable"),
-            sweep_values=tuple(sweep.get("values", ())),
-            timeout_s=float(obj.get("timeout_s", 60.0)),
-            order=obj.get("order", "mcf"),
-        )
+        obj["sweep_variable"] = sweep.get("variable")
+        pattern = PatternSource(**_typed_fields(PatternSource, "spec pattern",
+                                                obj.pop("pattern", {})))
+        data = DataSource(**_typed_fields(DataSource, "spec data", obj.pop("data", {})))
+        spec = cls(pattern=pattern, data=data, sweep_values=tuple(values),
+                   **_typed_fields(cls, "spec", obj))
         spec.validate()
         return spec
 
@@ -175,10 +169,6 @@ class ExperimentSpec:
     def load(cls, path) -> "ExperimentSpec":
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_dict(json.load(fh))
-
-
-def _field_names(cls) -> set[str]:
-    return {f.name for f in fields(cls)}
 
 
 def _json_object(value, where: str, allowed: set[str]) -> dict:
@@ -191,27 +181,49 @@ def _json_object(value, where: str, allowed: set[str]) -> dict:
     return value
 
 
-def _apply_sweep(spec: ExperimentSpec, value):
-    """Spec parameters for one sweep point."""
-    p, d, l, h = spec.pattern, spec.data, spec.l, spec.h
-    if value is None:
-        return p, d, l, h
+def _typed_fields(cls, where: str, obj) -> dict:
+    """``obj``'s values, each checked against its ``cls`` field's annotated type.
+
+    ``obj`` must be a JSON object of ``cls`` fields; a ``float`` field's
+    integer comes back as a float.
+    """
+    types = {f.name: f.type for f in fields(cls)}
+    out = {}
+    for key, value in _json_object(obj, where, set(types)).items():
+        accepted, expected = _JSON_TYPES[types[key]]
+        if type(value) not in accepted:
+            raise ValueError(f"{where} {key} must be {expected}; "
+                             f"got {json.dumps(value, default=repr)}")
+        out[key] = float(value) if types[key] == "float" else value
+    return out
+
+
+def _check_sweep(spec: ExperimentSpec):
+    """Raise ValueError unless the sweep has values and a variable that a run reads."""
     var = spec.sweep_variable
-    if var == "n1":
-        p = PatternSource(int(value), p.m1, p.labels, p.file)
-    elif var == "m1":
-        p = PatternSource(p.n1, float(value), p.labels, p.file)
-    elif var == "n2":
-        d = DataSource(int(value), d.m2, d.labels, d.file)
-    elif var == "m2":
-        d = DataSource(d.n2, float(value), d.labels, d.file)
-    elif var == "labels":
-        d = DataSource(d.n2, d.m2, int(value), d.file)
-    elif var == "l":
-        l = int(value)
-    elif var == "h":
-        h = int(value)
-    return p, d, l, h
+    if var not in _SWEEP_SECTIONS:
+        raise ValueError(f"sweep variable must be one of {tuple(_SWEEP_SECTIONS)}; "
+                         f"got {json.dumps(var)}")
+    if not spec.sweep_values:
+        raise ValueError("sweep values must be nonempty")
+    section = _SWEEP_SECTIONS[var]
+    if section is not None:
+        # the label count is also a generated pattern's label universe
+        readers = ("pattern", "data") if var == "labels" else (section,)
+        if all(getattr(spec, s).file is not None for s in readers):
+            raise ValueError(f"sweep variable {var} needs a generated "
+                             f"{' or '.join(readers)} graph")
+
+
+def _sweep_point(spec: ExperimentSpec, value) -> ExperimentSpec:
+    """The spec of one sweep point: the sweep variable set to ``value``."""
+    if value is None:
+        return spec
+    var = spec.sweep_variable
+    section = _SWEEP_SECTIONS[var]
+    owner = spec if section is None else getattr(spec, section)
+    owner = replace(owner, **_typed_fields(type(owner), "sweep value", {var: value}))
+    return owner if section is None else replace(spec, **{section: owner})
 
 
 def _check_generator_args(psrc: PatternSource, dsrc: DataSource):
@@ -252,10 +264,10 @@ def run_experiment(spec: ExperimentSpec):
     Rows come back in deterministic sweep order.
     """
     spec.validate()
-    points = spec.sweep_values if spec.sweep_variable else (None,)
     rows = []
-    for idx, value in enumerate(points):
-        psrc, dsrc, l, h = _apply_sweep(spec, value)
+    for idx, value in enumerate(spec.sweep_values or (None,)):
+        point = _sweep_point(spec, value)
+        psrc, dsrc, l, h = point.pattern, point.data, point.l, point.h
         for rep in range(spec.repetitions):
             base = spec.seed_base + 7919 * idx + 104729 * rep
             pattern_seed, data_seed = 2 * base + 1, 2 * base

@@ -25,7 +25,7 @@ from .bench import ExperimentSpec, format_summary_table, run_experiment, write_r
 from .graph import GraphFormatError, load_graph, plant_subdivision, random_labeled_graph, save_graph
 from .mapping import Mapping
 from .oracle import brute_force_solve, verify_mapping
-from .search import SearchConfig, SearchStats, enumerate_all, ndshd1, ndshd2
+from .search import ORDERS, STRATEGIES, SearchConfig, SearchStats, enumerate_all, ndshd1, ndshd2
 
 EXIT_TRUE = 0
 EXIT_FALSE = 1
@@ -45,9 +45,9 @@ def _add_window_args(p):
 
 
 def _add_search_args(p):
-    p.add_argument("--algo", choices=["ndshd1", "ndshd2"], default="ndshd2",
+    p.add_argument("--algo", choices=STRATEGIES, default="ndshd2",
                    help="search strategy (default ndshd2)")
-    p.add_argument("--order", choices=["mcf", "ascending"], default="mcf",
+    p.add_argument("--order", choices=ORDERS, default="mcf",
                    help="candidate ordering (default mcf, most constrained first)")
     p.add_argument("--stats", metavar="FILE", help="write search statistics as JSON")
     p.add_argument("--trace", action="store_true",
@@ -205,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("pattern")
     p.add_argument("data")
     _add_window_args(p)
-    p.add_argument("--algo", choices=["ndshd1", "ndshd2"], default="ndshd2")
+    p.add_argument("--algo", choices=STRATEGIES, default="ndshd2")
     p.add_argument("--oracle", action="store_true",
                    help="use the guarded brute-force solver instead of the search")
     p.add_argument("--limit", type=_positive_int, help="print at most this many mappings")

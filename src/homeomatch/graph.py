@@ -228,7 +228,7 @@ def check_random_graph_args(n: int, avg_degree: float, label_count: int):
         raise ValueError("n must be >= 1")
     if label_count < 1:
         raise ValueError("label_count must be >= 1")
-    if avg_degree < 0 or avg_degree >= n:
+    if not 0 <= avg_degree < n:
         raise ValueError(f"avg_degree must lie in [0, n); got {avg_degree} for n={n}")
 
 

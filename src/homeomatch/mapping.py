@@ -31,9 +31,6 @@ class Mapping:
     node_map: dict[int, int]
     edge_path_map: dict[tuple[int, int], tuple[int, ...]]
 
-    def branch_nodes(self) -> set[int]:
-        return set(self.node_map.values())
-
     def canonical_key(self):
         """Hashable identity used for duplicate detection and set comparisons."""
         nodes = tuple(sorted(self.node_map.items()))

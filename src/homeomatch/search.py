@@ -81,6 +81,7 @@ __all__ = [
 ]
 
 STRATEGIES = ("ndshd1", "ndshd2")
+ORDERS = ("mcf", "ascending")
 
 
 @dataclass
@@ -106,7 +107,7 @@ class SearchConfig:
     deadline: float | None = None
 
     def __post_init__(self):
-        if self.order not in ("mcf", "ascending"):
+        if self.order not in ORDERS:
             raise ValueError(f"unknown order {self.order!r}")
 
 
@@ -166,11 +167,10 @@ class CompatibleMatrix:
     with the live matrix until one is rebound.
     """
 
-    __slots__ = ("n1", "n2", "rows")
+    __slots__ = ("n1", "rows")
 
-    def __init__(self, n1: int, n2: int):
+    def __init__(self, n1: int):
         self.n1 = n1
-        self.n2 = n2
         self.rows: list[frozenset[int]] = [frozenset()] * (n1 + 1)
 
     @classmethod
@@ -183,7 +183,7 @@ class CompatibleMatrix:
         """
         if g1.n == 0 or g2.n == 0:
             raise ValueError("initial matrix requires nonempty graphs")
-        m = cls(g1.n, g2.n)
+        m = cls(g1.n)
         by_label: dict[str, list[int]] = {}
         for j in g2.vertices:
             by_label.setdefault(g2.label(j), []).append(j)
@@ -230,12 +230,9 @@ class MatchState:
     values.
     """
 
-    def __init__(self, g1: LabeledGraph, g2: LabeledGraph, l: int, h: int,
-                 matrix: CompatibleMatrix, store, config: SearchConfig | None = None):
+    def __init__(self, g1: LabeledGraph, matrix: CompatibleMatrix, store,
+                 config: SearchConfig | None = None):
         self.g1 = g1
-        self.g2 = g2
-        self.l = l
-        self.h = h
         self.matrix = matrix
         self.store = store
         self.config = config or SearchConfig()
@@ -253,7 +250,7 @@ class MatchState:
         matrix = CompatibleMatrix.initial(g1, g2)
         cands = candidate_branch_nodes(matrix)
         store = enumerate_paths(g2, cands, l, h, deadline=config.deadline)
-        return cls(g1, g2, l, h, matrix, store, config)
+        return cls(g1, matrix, store, config)
 
     @property
     def depth(self) -> int:

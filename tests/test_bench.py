@@ -17,7 +17,7 @@ from homeomatch.bench import (
 )
 from homeomatch.cli import main
 
-from conftest import EXPERIMENTS_DIR
+from conftest import DATA_DIR, EXPERIMENTS_DIR
 
 
 def tiny_spec(**overrides):
@@ -29,6 +29,29 @@ def tiny_spec(**overrides):
     )
     base.update(overrides)
     return ExperimentSpec(**base)
+
+
+# two points per sweep variable; tests/data/sweep_<variable>.csv holds each
+# sweep's `bench --no-timing` runs CSV
+GOLDEN_SWEEPS = {
+    "n1": [3, 4],
+    "m1": [1, 1.5],
+    "n2": [25, 30],
+    "m2": [2, 3.5],
+    "labels": [4, 6],
+    "l": [1, 2],
+    "h": [2, 3],
+}
+
+
+def golden_sweep_spec(variable):
+    return {
+        "name": f"sweep_{variable}",
+        "pattern": {"n1": 3, "m1": 2, "labels": "unique"},
+        "data": {"n2": 30, "m2": 3, "labels": 5},
+        "l": 1, "h": 2, "algo": "both", "repetitions": 1, "seed_base": 5,
+        "sweep": {"variable": variable, "values": GOLDEN_SWEEPS[variable]},
+    }
 
 
 class TestSpec:
@@ -59,8 +82,19 @@ class TestSpec:
         {"name": "x", "pattern": [4, 3]},
         {"name": "x", "data": {"n2": 40, "nodes": 40}},
         {"name": "x", "sweep": {"variable": "n2", "values": [40], "step": 20}},
+        {"name": "x", "pattern": {"n1": [4]}},
+        {"name": "x", "sweep": {"variable": "n2", "values": [[30]]}},
+        {"name": "x", "sweep": {"values": [30, 40]}},
+        {"name": "x", "repetitions": 2.7},
+        {"name": "x", "l": True},
+        {"name": ["x"]},
+        {"name": "x", "pattern": {"file": 0}},
+        {"name": "x", "sweep_variable": "n2", "sweep_values": [40]},
     ], ids=["no-name", "values-not-a-list", "not-an-object", "unknown-key",
-            "section-not-an-object", "unknown-data-key", "unknown-sweep-key"])
+            "section-not-an-object", "unknown-data-key", "unknown-sweep-key",
+            "list-for-int", "list-sweep-value", "values-without-variable",
+            "float-for-int", "bool-for-int", "list-for-name", "number-for-file",
+            "flat-sweep-keys"])
     def test_from_dict_rejects_malformed_specs(self, obj):
         with pytest.raises(ValueError):
             ExperimentSpec.from_dict(obj)
@@ -74,6 +108,8 @@ class TestSpec:
         dict(timeout_s=0),
         dict(sweep_variable="n3", sweep_values=(1,)),
         dict(sweep_variable="n2", sweep_values=()),
+        dict(timeout_s=float("nan")),
+        dict(data=DataSource(n2=30, m2=float("nan"), labels=5)),
     ])
     def test_validation_rejects_bad_specs(self, bad):
         with pytest.raises(ValueError):
@@ -98,6 +134,29 @@ class TestSpec:
             tiny_spec(**bad).validate()
         with pytest.raises(ValueError):
             run_experiment(tiny_spec(**bad))
+
+    @pytest.mark.parametrize("variable, values, from_file, read", [
+        ("n1", (3, 4), ("pattern",), False),
+        ("m1", (1, 2), ("pattern",), False),
+        ("n2", (20, 30), ("data",), False),
+        ("m2", (2, 3), ("data",), False),
+        ("labels", (4, 6), ("pattern", "data"), False),
+        ("labels", (4, 6), ("pattern",), True),
+        ("labels", (4, 6), ("data",), True),
+        ("n2", (20, 30), ("pattern",), True),
+    ], ids=["n1-pattern-file", "m1-pattern-file", "n2-data-file", "m2-data-file",
+            "labels-both-files", "labels-pattern-file", "labels-data-file",
+            "n2-pattern-file"])
+    def test_sweep_variable_must_be_read(self, variable, values, from_file, read):
+        files = {"pattern": PatternSource(file=str(DATA_DIR / "worked_pattern.graph")),
+                 "data": DataSource(file=str(DATA_DIR / "worked_data.graph"))}
+        spec = tiny_spec(sweep_variable=variable, sweep_values=values,
+                         **{section: files[section] for section in from_file})
+        if read:
+            spec.validate()
+        else:
+            with pytest.raises(ValueError, match="needs a generated"):
+                spec.validate()
 
     def test_sweep_window_follows_the_h_cap(self, monkeypatch):
         spec = tiny_spec(sweep_variable="h", sweep_values=(1, 7))
@@ -206,12 +265,32 @@ class TestBenchCommand:
         assert outs[0] == outs[1]
         assert "algo" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("variable", sorted(GOLDEN_SWEEPS))
+    def test_sweep_sets_its_variable(self, variable, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(golden_sweep_spec(variable)))
+        out = tmp_path / "runs.csv"
+        assert main(["bench", str(spec), "--out", str(out), "--no-timing"]) == 0
+        assert out.read_bytes() == (DATA_DIR / f"sweep_{variable}.csv").read_bytes()
+
     def test_cli_bench_unknown_spec_key_is_exit_two(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"name": "x", "repetition": 3}))
         out = tmp_path / "o.csv"
         assert main(["bench", str(spec), "--out", str(out)]) == 2
         assert "unknown key(s) in spec: repetition" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_cli_bench_non_string_file_is_exit_two(self, tmp_path, capsys, monkeypatch):
+        def no_loading(*args, **kwargs):
+            raise AssertionError("a graph was read for a spec that should be rejected")
+
+        monkeypatch.setattr(bench, "load_graph", no_loading)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"name": "x", "pattern": {"file": 0}}))
+        out = tmp_path / "o.csv"
+        assert main(["bench", str(spec), "--out", str(out)]) == 2
+        assert "error: spec pattern file must be a string or null" in capsys.readouterr().err
         assert not out.exists()
 
     def test_cli_bench_bad_spec(self, tmp_path, capsys):

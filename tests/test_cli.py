@@ -129,9 +129,12 @@ class TestGen:
         assert main(["determine", PATTERN, str(planted), "--l", "1", "--h", "3"]) == 0
 
     def test_gen_invalid_params(self, tmp_path, capsys):
-        rc = main(["gen", "random", "--n", "5", "--avg-degree", "9",
-                   "--labels", "2", "--seed", "0", "--out", str(tmp_path / "x.graph")])
-        assert rc == 2
+        for avg_degree in ("9", "nan"):
+            out = tmp_path / f"x_{avg_degree}.graph"
+            rc = main(["gen", "random", "--n", "5", "--avg-degree", avg_degree,
+                       "--labels", "2", "--seed", "0", "--out", str(out)])
+            assert rc == 2
+            assert not out.exists()
 
 
 class TestBench:

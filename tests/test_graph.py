@@ -139,6 +139,8 @@ class TestRandomLabeledGraph:
             random_labeled_graph(0, 1.0, 2, 0)
         with pytest.raises(ValueError):
             random_labeled_graph(5, 2.0, 0, 0)
+        with pytest.raises(ValueError):
+            random_labeled_graph(5, float("nan"), 2, 0)
         # avg_degree == n-1 means a complete graph, which is fine
         g = random_labeled_graph(5, 4.0, 2, 0)
         assert g.m == 10
