@@ -76,10 +76,12 @@ class LabeledGraph:
             seen.add(key)
         self.edges = frozenset(seen)
         adj = [[] for _ in range(n + 1)]
+        # Walking the pairs in sorted order appends each vertex's smaller
+        # neighbours, then its larger ones, both ascending.
         for u, w in sorted(seen):
             adj[u].append(w)
             adj[w].append(u)
-        self._adj = tuple(tuple(sorted(nbrs)) for nbrs in adj)
+        self._adj = tuple(tuple(nbrs) for nbrs in adj)
 
     @property
     def m(self) -> int:
@@ -232,28 +234,72 @@ def check_random_graph_args(n: int, avg_degree: float, label_count: int):
         raise ValueError(f"avg_degree must lie in [0, n); got {avg_degree} for n={n}")
 
 
+def _sample_pairs(rng: random.Random, n: int, p: float) -> list[tuple[int, int]]:
+    """The pairs ``(u, w)``, ``1 <= u < w <= n``, whose coin flip is below ``p``.
+
+    Gives the same edges, in the same order, and leaves ``rng`` in the
+    same state as the plain loop that tests ``rng.random() < p`` once per
+    pair in lexicographic order, but draws each vertex's flips with one
+    ``getrandbits`` call.  It rests on two facts of CPython's Mersenne
+    Twister, unchanged since Python 2.3:
+
+    - ``random()`` is ``((a >> 5) * 2**26 + (b >> 6)) / 2**53`` for two
+      consecutive 32-bit outputs ``a`` and ``b``;
+    - ``getrandbits(64 * k)`` holds the next ``2 * k`` outputs, the first
+      in the lowest 32 bits.
+
+    So in the little-endian bytes of that draw, flip ``i`` has ``a`` at
+    bytes ``8i..8i+3`` and ``b`` at ``8i+4..8i+7``.  A flip whose top byte
+    ``raw[8i+3]`` is ``T`` lies in ``[T/256, (T+1)/256)``.  With
+    ``t = floor(p * 256)`` (exact, capped at 255), ``T < t`` is an edge and
+    ``T > t`` never is; only ``T == t`` needs the exact value.  One
+    ``translate`` of ``raw[3::8]`` marks the bytes ``<= t`` for
+    ``bytes.find``.  One draw per vertex keeps the extra memory O(n).
+    """
+    t = min(255, int(p * 256))
+    marks = bytes(0 if byte <= t else 1 for byte in range(256))
+    edges = []
+    for u in range(1, n):
+        k = n - u
+        raw = rng.getrandbits(64 * k).to_bytes(8 * k, "little")
+        top = raw[3::8]
+        flags = top.translate(marks)
+        i = flags.find(0)
+        while i >= 0:
+            if top[i] < t:
+                edges.append((u, u + 1 + i))
+            else:
+                x = int.from_bytes(raw[8 * i:8 * i + 8], "little")
+                a, b = x & 0xFFFFFFFF, x >> 32
+                if ((a >> 5) * 67108864 + (b >> 6)) / 9007199254740992 < p:
+                    edges.append((u, u + 1 + i))
+            i = flags.find(0, i + 1)
+    return edges
+
+
 def random_labeled_graph(n: int, avg_degree: float, label_count: int,
                          seed: int) -> LabeledGraph:
     """Seeded connected random graph with uniformly distributed labels.
 
     Each vertex pair is linked independently with probability
-    ``avg_degree / (n - 1)``.  If the sample comes out disconnected,
+    ``p = avg_degree / (n - 1)``.  If the sample comes out disconnected,
     uniformly random cross-component edges are added until it is
     connected, which preserves the expected density closely.  Labels are
     drawn uniformly from ``label_count`` tokens ``L0..L{k-1}``.  Output
     is fully determined by the arguments.
+
+    The pair flips read the same Mersenne Twister stream as one
+    ``rng.random() < p`` per pair in lexicographic order, but
+    ``_sample_pairs`` draws each vertex's flips with one ``getrandbits``
+    call.  That equivalence assumes how CPython builds ``random()`` and
+    ``getrandbits`` from 32-bit twister outputs, unchanged since Python
+    2.3; ``_sample_pairs`` states the derivation.
     """
     check_random_graph_args(n, avg_degree, label_count)
     rng = random.Random(seed)
     tokens = [f"L{i}" for i in range(label_count)]
     labels = {v: rng.choice(tokens) for v in range(1, n + 1)}
-    edges: list[tuple[int, int]] = []
-    if n > 1:
-        p = min(1.0, avg_degree / (n - 1))
-        for u in range(1, n + 1):
-            for w in range(u + 1, n + 1):
-                if rng.random() < p:
-                    edges.append((u, w))
+    edges = _sample_pairs(rng, n, min(1.0, avg_degree / (n - 1))) if n > 1 else []
 
     parent = list(range(n + 1))
 

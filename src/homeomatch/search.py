@@ -167,10 +167,9 @@ class CompatibleMatrix:
     with the live matrix until one is rebound.
     """
 
-    __slots__ = ("n1", "rows")
+    __slots__ = ("rows",)
 
     def __init__(self, n1: int):
-        self.n1 = n1
         self.rows: list[frozenset[int]] = [frozenset()] * (n1 + 1)
 
     @classmethod

@@ -94,6 +94,9 @@ def test_degree_sums_to_twice_edge_count(seed):
     n = 3 + seed % 40
     g = random_labeled_graph(n, 2.0, 3, seed)
     assert sum(g.degree(v) for v in g.vertices) == 2 * g.m
+    for v in g.vertices:
+        nbrs = g.neighbors(v)
+        assert all(a < b for a, b in zip(nbrs, nbrs[1:]))
 
 
 def test_graph_constructor_rejects_bad_input():

@@ -35,13 +35,13 @@ class TestCandidateBranchNodes:
 
     def test_all_zero_matrix(self, worked_pattern, worked_data):
         m0 = initial_compatible_matrix(worked_pattern, worked_data)
-        m0.rows[1:] = [frozenset()] * m0.n1
+        m0.rows[1:] = [frozenset()] * (len(m0.rows) - 1)
         assert candidate_branch_nodes(m0) == ()
 
     def test_all_ones_matrix(self):
         g = LabeledGraph(3, {1: "a", 2: "a", 3: "a"}, [(1, 2), (2, 3)])
         m0 = initial_compatible_matrix(g, g)
-        m0.rows[1:] = [frozenset(g.vertices)] * m0.n1
+        m0.rows[1:] = [frozenset(g.vertices)] * (len(m0.rows) - 1)
         assert candidate_branch_nodes(m0) == (1, 2, 3)
 
 
