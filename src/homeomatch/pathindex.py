@@ -12,7 +12,10 @@ and return tokens; undoing tokens in reverse order restores the alive
 flags, counters and reachability sets exactly, which is what
 backtracking relies on.  A batch clock and a per-end stamp record when
 the alive paths at each end last changed; they only grow, so a reader
-can tell that nothing at an end changed since it last looked.
+can tell that nothing at an end changed since it last looked.  Two
+lists tell a reader what the batches changed without a scan: the ends
+whose alive paths changed, in the order they were first stamped, and
+the end pairs the latest removal batch left without an alive path.
 
 A store belongs to exactly one search and is never mutated
 concurrently.  The maximum usable ``h`` is capped (default 6, env
@@ -95,13 +98,17 @@ class PathStore:
     ``clock`` counts batches: each ``remove_paths_*`` call and each
     ``undo`` advances it by one.  ``stamps[v]`` is the clock of the last
     batch that killed or revived a path ending at ``v`` (0 if none did).
-    Undo does not roll either back.  ``witness_tries`` counts the paths
-    ``has_witnesses`` has tried over the store's life.
+    Each batch appends to ``changed_ends`` every end it stamps, once per
+    batch; the reader that consumes the list empties it.  ``zeroed_pairs``
+    lists the end pairs whose alive count the latest removal batch took
+    to zero.  Undo rolls back none of these.  ``witness_tries`` counts
+    the paths ``has_witnesses`` has tried over the store's life.
     """
 
     __slots__ = ("l", "h", "candidates", "_cand_set", "_verts", "_alive",
                  "by_pair", "_by_inner", "_by_end", "_pair_alive",
-                 "_reach", "clock", "stamps", "witness_tries")
+                 "_reach", "clock", "stamps", "changed_ends", "zeroed_pairs",
+                 "witness_tries")
 
     def __init__(self, l: int, h: int, candidates, verts: list[tuple[int, ...]],
                  by_pair: dict[tuple[int, int], list[int]]):
@@ -134,6 +141,8 @@ class PathStore:
         self._by_inner = dict(by_inner)
         self.clock = 0
         self.stamps = [0] * (self.candidates[-1] + 1 if self.candidates else 1)
+        self.changed_ends: list[int] = []
+        self.zeroed_pairs: list[tuple[int, int]] = []
         self.witness_tries = 0
 
     def __len__(self) -> int:
@@ -176,20 +185,27 @@ class PathStore:
         """Deactivate, as one batch, every alive path in the lists but ``keep``."""
         self.clock = clock = self.clock + 1
         alive, verts, pair_alive = self._alive, self._verts, self._pair_alive
-        reach, stamps = self._reach, self.stamps
+        reach, stamps, changed = self._reach, self.stamps, self.changed_ends
+        self.zeroed_pairs = zeroed = []
         killed: list[int] = []
         for pids in pid_lists:
             for pid in pids:
                 if alive[pid] and pid != keep:
                     alive[pid] = 0
                     v = verts[pid]
-                    u, w = v[0], v[-1]
-                    count = pair_alive[u, w] - 1
-                    pair_alive[u, w] = count
+                    u, w = key = v[0], v[-1]
+                    count = pair_alive[key] - 1
+                    pair_alive[key] = count
                     if count == 0:
                         reach[u].discard(w)
                         reach[w].discard(u)
-                    stamps[u] = stamps[w] = clock
+                        zeroed.append(key)
+                    if stamps[u] != clock:
+                        stamps[u] = clock
+                        changed.append(u)
+                    if stamps[w] != clock:
+                        stamps[w] = clock
+                        changed.append(w)
                     killed.append(pid)
         return UndoToken(tuple(killed))
 
@@ -213,17 +229,22 @@ class PathStore:
     def undo(self, token: UndoToken):
         self.clock = clock = self.clock + 1
         alive, verts, pair_alive = self._alive, self._verts, self._pair_alive
-        reach, stamps = self._reach, self.stamps
+        reach, stamps, changed = self._reach, self.stamps, self.changed_ends
         for pid in reversed(token.killed):
             alive[pid] = 1
             v = verts[pid]
-            u, w = v[0], v[-1]
-            count = pair_alive[u, w] + 1
-            pair_alive[u, w] = count
+            u, w = key = v[0], v[-1]
+            count = pair_alive[key] + 1
+            pair_alive[key] = count
             if count == 1:
                 reach[u].add(w)
                 reach[w].add(u)
-            stamps[u] = stamps[w] = clock
+            if stamps[u] != clock:
+                stamps[u] = clock
+                changed.append(u)
+            if stamps[w] != clock:
+                stamps[w] = clock
+                changed.append(w)
 
     def has_witnesses(self, v: int, images, rows, cap: int) -> bool:
         """Whether one alive path per requirement at ``v`` can be picked independent.
@@ -306,7 +327,7 @@ class PathStore:
     def snapshot(self):
         """Fingerprint of the state that undo restores, for exact-restore checks.
 
-        The clock and the stamps are left out: they only grow.
+        The clock, the stamps and the two change lists are left out.
         """
         sets = {v: frozenset(s) for v, s in self._reach.items()}
         return bytes(self._alive), dict(self._pair_alive), sets

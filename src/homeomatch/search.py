@@ -41,14 +41,18 @@ image, a path match the path's inner vertices.  Both apply one rule:
 Candidates are therefore read straight from the matrix rows and the
 store's alive paths.
 
-Backtracking restores state exactly.  Matrix rows are immutable, so a
-change binds a new row and a snapshot is the list of row references;
-the path store's alive flags, counters and reachability sets are rolled
-back through undo tokens in reverse order.  Only the store's batch
-clock and per-end stamps and the refinement's record of verified cells
-outlive a pop; they only grow and never change a result.  A search
-owns its state and is single-threaded; the input graphs are never
-modified.
+Backtracking restores state exactly, and a push or pop costs what it
+changes, not the pattern's size.  Matrix rows are immutable, so a change
+binds a new row and logs the old one; a pop rebinds only the rows its
+push logged, and only the search's root takes a snapshot of all rows.
+The path store's alive flags, counters and reachability sets are rolled
+back through undo tokens in reverse order.  Refinement scans only the
+rows that something changed since their last scan, and the dead check
+after a push looks only at what the push changed.  The store's batch
+clock, per-end stamps and change lists, the set of rows to scan and the
+refinement's record of verified cells outlive a pop; they never change
+a result.  A search owns its state and is single-threaded; the input
+graphs are never modified.
 """
 
 from __future__ import annotations
@@ -56,6 +60,7 @@ from __future__ import annotations
 import time
 from collections.abc import Iterator
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 
 from .graph import LabeledGraph
 from .mapping import Mapping
@@ -164,7 +169,9 @@ class CompatibleMatrix:
 
     A row is never mutated: a change binds a new frozenset to ``rows[i]``,
     so a snapshot is the list of row references and shares every row
-    with the live matrix until one is rebound.
+    with the live matrix until one is rebound.  A search state logs each
+    rebinding with the row it replaced, so a pop restores only the rows
+    its push changed; a search snapshots all rows once, at its root.
     """
 
     __slots__ = ("rows",)
@@ -224,9 +231,21 @@ class MatchState:
     matrix, matches and store contents of the freshly created one.  The
     matches live in ``node_image`` and ``path_of_edge`` alone, whose
     insertion order is the push order, so a pop removes their newest
-    entry.  The store's clock and stamps and the record of verified cells
-    are not rolled back: they only grow, and no result depends on their
-    values.
+    entry.
+
+    Every row rebinding is logged as ``(row, old row)``, and a pop
+    rebinds, newest first, only the rows its push logged.  The rows of
+    the matrix the state was created with are grouped by content; a
+    taken vertex, or an end whose alive paths changed, is looked up only
+    in the groups whose initial row holds it.
+
+    Refinement scans only dirty rows.  A row turns dirty when a
+    neighbour's row or image changes, when a pop makes it regrow, when a
+    strip empties it, or when one of its cells is an end whose alive
+    paths a kill or undo changed; a scan that records the row cleans it.
+    The dirty set, the record of verified cells and the store's clock,
+    stamps and change lists are not rolled back: no result depends on
+    them.
     """
 
     def __init__(self, g1: LabeledGraph, matrix: CompatibleMatrix, store,
@@ -237,7 +256,18 @@ class MatchState:
         self.config = config or SearchConfig()
         self.node_image: dict[int, int] = {}
         self.path_of_edge: dict[tuple[int, int], int] = {}
-        self._trail: list = []  # (kind, matrix snapshot, undo token) per push
+        self._edges = g1.sorted_edges()
+        self._preimage: dict[int, int] = {}  # image -> pattern vertex matched to it
+        self._trail: list = []  # (kind, change-log length, undo token) per push
+        self._log: list[tuple[int, frozenset[int]]] = []  # (row, old row) per rebinding
+        self._dirty = set(g1.vertices)  # unmatched rows the next refinement scans
+        # The rows of the matrix the state starts from, grouped by content
+        # (rows of one label and degree are equal): rows only shrink, so a
+        # data vertex can be only in the rows of groups whose row holds it.
+        groups: dict[frozenset[int], list[int]] = {}
+        for i in g1.vertices:
+            groups.setdefault(matrix.rows[i], []).append(i)
+        self._groups = list(groups.items())
         # pattern row -> (neighbour key, store clock, cells kept) of its last scan
         self._verified: dict[int, tuple] = {}
 
@@ -263,10 +293,12 @@ class MatchState:
         Kills the paths running through vj and binds row vi to {vj}; then
         ``_take`` strips vj from the unmatched rows and refines.
         """
-        self._trail.append(("node", self.matrix.snapshot(),
+        self._trail.append(("node", len(self._log),
                             self.store.remove_paths_through_vertex(vj)))
         self.node_image[vi] = vj
-        self.matrix.rows[vi] = frozenset((vj,))
+        self._preimage[vj] = vi
+        self._dirty.discard(vi)
+        self._rebind(vi, frozenset((vj,)))
         self._take((vj,), hints=(vi,))
 
     def push_path_match(self, edge: tuple[int, int], pid: int):
@@ -276,23 +308,41 @@ class MatchState:
         them from the unmatched rows and refines.
         """
         store = self.store
-        self._trail.append(("edge", self.matrix.snapshot(),
+        self._trail.append(("edge", len(self._log),
                             store.remove_paths_conflicting_with(pid)))
         self.path_of_edge[edge] = pid
         self._take(store.inner(pid), hints=edge)
 
-    def _take(self, taken, hints):
-        """Strip the taken vertices from every unmatched row, then refine.
+    def _rebind(self, i: int, row: frozenset[int]):
+        """Log and bind row i; its unmatched neighbours turn dirty."""
+        rows = self.matrix.rows
+        self._log.append((i, rows[i]))
+        rows[i] = row
+        img, dirty = self.node_image, self._dirty
+        for u in self.g1._adj[i]:
+            if u not in img:
+                dirty.add(u)
 
-        A matched row holds only its own image, never a taken vertex, so
-        only unmatched rows can change.  A refinement cut by the deadline
-        undoes the push.
+    def _take(self, taken, hints):
+        """Strip the taken vertices from the unmatched rows, then refine.
+
+        Only the rows of a group whose initial row holds a taken vertex
+        can hold it, and a matched row holds only its own image, never a
+        taken vertex.  A row the strip empties turns dirty, so that
+        refinement stops where a full scan would.  A refinement cut by
+        the deadline undoes the push.
         """
         rows = self.matrix.rows
         img = self.node_image
-        for i in range(1, self.g1.n + 1):
-            if i not in img and not rows[i].isdisjoint(taken):
-                rows[i] = rows[i].difference(taken)
+        for initial, ids in self._groups:
+            if initial.isdisjoint(taken):
+                continue
+            for i in ids:
+                if i not in img and not rows[i].isdisjoint(taken):
+                    row = rows[i].difference(taken)
+                    self._rebind(i, row)
+                    if not row:
+                        self._dirty.add(i)
         try:
             self.refine_compatibility(hints=hints)
         except SearchTimeout:
@@ -301,13 +351,51 @@ class MatchState:
 
     def pop(self):
         """Undo the most recent push exactly."""
-        kind, snap, token = self._trail.pop()
+        kind, mark, token = self._trail.pop()
         self.store.undo(token)
-        self.matrix.restore(snap)
         if kind == "node":
-            self.node_image.popitem()
+            del self._preimage[self.node_image.popitem()[1]]
         else:
             self.path_of_edge.popitem()
+        self._unwind(mark)
+
+    def _unwind(self, mark: int):
+        """Rebind the rows logged after the first ``mark`` entries, newest first.
+
+        Each row rebound turns dirty, as do its unmatched neighbours.
+        """
+        rows, log = self.matrix.rows, self._log
+        img, dirty, adj = self.node_image, self._dirty, self.g1._adj
+        while len(log) > mark:
+            i, old = log.pop()
+            rows[i] = old
+            if i not in img:
+                dirty.add(i)
+            for u in adj[i]:
+                if u not in img:
+                    dirty.add(u)
+
+    def checkpoint(self) -> tuple:
+        """The matrix rows and change-log length that ``rollback`` returns to."""
+        return self.matrix.snapshot(), len(self._log)
+
+    def rollback(self, checkpoint: tuple):
+        """Return the rows to a checkpoint taken with nothing pushed since.
+
+        Each row the restore rebinds turns dirty, as do its unmatched
+        neighbours, and the log entries written since are dropped.
+        """
+        snap, mark = checkpoint
+        rows, img, dirty, adj = self.matrix.rows, self.node_image, self._dirty, self.g1._adj
+        for i, row in enumerate(snap, 1):
+            if rows[i] is not row:
+                if i not in img:
+                    dirty.add(i)
+                for u in adj[i]:
+                    if u not in img:
+                        dirty.add(u)
+        self.matrix.restore(snap)
+        del self._log[mark:]
 
     # state predicates ---------------------------------------------------
 
@@ -337,25 +425,44 @@ class MatchState:
                 return True
         return False
 
+    def is_dead_after_push(self) -> bool:
+        """``is_dead()`` of a state the engine just pushed from a live one.
+
+        A live state has no empty unmatched row and no pending edge
+        without an alive path, so only what the push changed can kill
+        it: a row it rebound, or a pending edge whose end pair its kills
+        left without an alive path.  An edge the push made pending needs
+        no check.  Refinement kept the pushed cell only if each matched
+        neighbour's image was reachable from it, and a node match kills
+        no path ending at its own image.
+        """
+        rows, img = self.matrix.rows, self.node_image
+        for i, _old in self._log[self._trail[-1][1]:]:
+            if not rows[i] and i not in img:
+                return True
+        pre, edges, committed = self._preimage, self.g1.edges, self.path_of_edge
+        for a, b in self.store.zeroed_pairs:
+            if a in pre and b in pre:
+                pa, pb = pre[a], pre[b]
+                e = (pa, pb) if pa < pb else (pb, pa)
+                if e in edges and e not in committed:
+                    return True
+        return False
+
     # candidate generation -----------------------------------------------
 
     def pending_edges(self) -> list[tuple[int, int]]:
-        img = self.node_image
-        out = []
-        for e in self.g1.edges:
-            a, b = e
-            if a in img and b in img and e not in self.path_of_edge:
-                out.append(e)
-        out.sort()
-        return out
+        img, committed = self.node_image, self.path_of_edge
+        return [e for e in self._edges if e[0] in img and e[1] in img and e not in committed]
 
     def select_row(self) -> int | None:
-        unmatched = [i for i in range(1, self.g1.n + 1) if i not in self.node_image]
+        img = self.node_image
+        unmatched = [i for i in range(1, self.g1.n + 1) if i not in img]
         if not unmatched:
             return None
         if self.config.order == "mcf":
-            rows = self.matrix.rows
-            return min(unmatched, key=lambda i: (len(rows[i]), i))
+            sizes = map(len, map(self.matrix.rows.__getitem__, unmatched))
+            return min(zip(sizes, unmatched))[1]
         return unmatched[0]
 
     def select_pending_edge(self) -> tuple[int, int] | None:
@@ -363,9 +470,8 @@ class MatchState:
         if not pending:
             return None
         if self.config.order == "mcf":
-            img = self.node_image
-            store = self.store
-            return min(pending, key=lambda e: (store.pair_count(img[e[0]], img[e[1]]), e))
+            img, count = self.node_image, self.store.pair_count
+            return min(zip([count(img[a], img[b]) for a, b in pending], pending))[1]
         return pending[0]
 
     def node_candidates(self, vi: int) -> list[int]:
@@ -398,9 +504,10 @@ class MatchState:
         tried costs one unit of ``witness_cap``, and a cell whose pick
         runs past the cap is conservatively kept.
 
-        Rows adjacent to the ``hints`` vertices are scanned first and
-        the scan stops once a row empties, because the state is then
-        dead and about to be discarded anyway.
+        Rows are visited in one order: the unmatched neighbours of the
+        ``hints`` vertices first, then the other unmatched rows in
+        ascending id.  The pass stops once a row is empty, because the
+        state is then dead and about to be discarded anyway.
 
         A cell's verdict depends only on its neighbours' images or rows,
         the witness cap and the alive paths ending at its column.  Each
@@ -409,36 +516,56 @@ class MatchState:
         store clock and the row it kept; a later scan with an equal key
         re-checks only the cells it did not keep or whose column's stamp
         is newer.  Rows are compared by identity first, then by contents,
-        and equal contents give equal verdicts.  The cells a scan clears
-        are bound as one new row.  The configured deadline is polled once
-        per row.
+        and equal contents give equal verdicts.  A row that is not dirty
+        would re-check nothing, so only dirty rows are scanned; a row
+        whose cells this pass clears dirties its neighbours, which are
+        scanned later in the pass if they come after it.  Reach sets are
+        symmetric, so the cells outside the reach set of some matched
+        neighbour's image are cleared without a pick.  The cells a scan
+        clears are bound as one new row.  The configured deadline is
+        polled once per row scanned.
         """
-        g1 = self.g1
+        adj = self.g1._adj
         rows = self.matrix.rows
         img = self.node_image
-        order = []
-        seen = set()
-        for hv in hints:
-            for u in g1.neighbors(hv):
-                if u not in img and u not in seen:
-                    seen.add(u)
-                    order.append(u)
-        order.extend(i for i in range(1, g1.n + 1) if i not in img and i not in seen)
         store = self.store
+        dirty = self._dirty
+        changed = store.changed_ends
+        if changed:
+            ends = set(changed)
+            changed.clear()
+            for initial, ids in self._groups:
+                if not initial.isdisjoint(ends):
+                    for i in ids:
+                        if i not in img and not rows[i].isdisjoint(ends):
+                            dirty.add(i)
+        if not dirty:
+            return
+        head = []  # the hint rows, whose visit positions are -len(head)..-1
+        for hv in hints:
+            for u in adj[hv]:
+                if u not in img and u not in head:
+                    head.append(u)
+        first = {u: k - len(head) for k, u in enumerate(head)}
+        heap = [first.get(i, i) for i in dirty]
+        heapify(heap)
         stamps = store.stamps
         verified = self._verified
+        reach = store.reachable_from
         has_witnesses, cap = store.has_witnesses, self.config.witness_cap
         deadline = self.config.deadline
-        for vi in order:
+        while heap:
             if deadline is not None and time.monotonic() > deadline:
                 raise SearchTimeout("matrix refinement exceeded its deadline")
+            pos = heappop(heap)
+            vi = head[pos] if pos < 0 else pos
             row = rows[vi]
             if not row:
                 return
             matched_images = []
             neighbor_rows = []
             key = []
-            for u in g1.neighbors(vi):
+            for u in adj[vi]:
                 fu = img.get(u)
                 if fu is not None:
                     matched_images.append(fu)
@@ -446,7 +573,8 @@ class MatchState:
                 else:
                     neighbor_rows.append(rows[u])
                     key.append(rows[u])
-            if not matched_images and not neighbor_rows:
+            if not key:
+                dirty.discard(vi)
                 continue
             key = tuple(key)
             last = verified.get(vi)
@@ -456,13 +584,26 @@ class MatchState:
                 clock, kept = 0, ()
             # A check never reads the cell's own row, so the cells it
             # clears can be bound as one new row after the scan.
-            cleared = [vj for vj in sorted(row) if (vj not in kept or stamps[vj] > clock)
-                       and not has_witnesses(vj, matched_images, neighbor_rows, cap)]
+            if matched_images:
+                recheck = [vj for vj in row if vj not in kept or stamps[vj] > clock]
+                passing = set(recheck).intersection(*[reach(fu) for fu in matched_images])
+                cleared = [vj for vj in recheck if vj not in passing
+                           or not has_witnesses(vj, matched_images, neighbor_rows, cap)]
+            else:
+                cleared = [vj for vj in row if (vj not in kept or stamps[vj] > clock)
+                           and not has_witnesses(vj, matched_images, neighbor_rows, cap)]
             if cleared:
-                rows[vi] = row = row.difference(cleared)
+                for u in adj[vi]:
+                    if u not in img and u not in dirty:
+                        later = first.get(u, u)
+                        if later > pos:
+                            heappush(heap, later)
+                row = row.difference(cleared)
+                self._rebind(vi, row)
             verified[vi] = (key, store.clock, row)
             if not row:
                 return
+            dirty.discard(vi)
 
 
 def new_edges_emergent(state: MatchState, g1: LabeledGraph) -> list[tuple[int, int]]:
@@ -508,8 +649,6 @@ class _Engine:
     """
 
     def __init__(self, state: MatchState, strategy: str, stats: SearchStats):
-        if strategy not in STRATEGIES:
-            raise ValueError(f"unknown strategy {strategy!r}")
         self.state = state
         self.two_level = strategy == "ndshd1"
         self.stats = stats
@@ -518,14 +657,14 @@ class _Engine:
     def solutions(self):
         """Generator of complete mappings; closing it restores the state."""
         s = self.state
-        root_snapshot = s.matrix.snapshot()
+        root = s.checkpoint()
         stack: list[_Frame] = []
         try:
             # One refinement pass before the first selection settles most
             # unsatisfiable instances in a single scan instead of once per
             # root candidate; it is the same sound per-match refinement.
             s.refine_compatibility()
-            found = self._open(stack, "node", None, 0)
+            found = self._open(stack, "node", None, 0, s.is_dead)
             while True:
                 if found is not None:
                     yield found
@@ -551,29 +690,31 @@ class _Engine:
                     self._record("edge")
                     child = ("edge", frame.edges, frame.k + 1)
                 frame.pushed = True
-                found = self._open(stack, *child)
+                found = self._open(stack, *child, s.is_dead_after_push)
         finally:
             while stack:
                 if stack.pop().pushed:
                     s.pop()
-            s.matrix.restore(root_snapshot)
+            s.rollback(root)
 
-    def _open(self, stack, phase, edges, k) -> Mapping | None:
+    def _open(self, stack, phase, edges, k, is_dead) -> Mapping | None:
         """Enter the root or the state after a push; stack its frame or return its mapping.
 
-        A state with nothing to choose enters the next one in the same
-        call: ``ndshd1``'s node level hands over to the edge level once
-        every row is matched, ``ndshd2``'s edge level back to the node level.
+        ``is_dead`` is the state's dead check: the full one at the root,
+        the push-local one after a push.  A state with nothing to choose
+        enters the next one in the same call without a second check:
+        ``ndshd1``'s node level hands over to the edge level once every
+        row is matched, ``ndshd2``'s edge level back to the node level.
         """
         s = self.state
         two_level = self.two_level
+        self._enter()
+        if is_dead():
+            return None
         while True:
-            self._enter()
-            if phase == "node" and not two_level and s.is_success():
-                return self._solution()
-            if s.is_dead():
-                return None
             if phase == "node":
+                if not two_level and s.is_success():
+                    return self._solution()
                 vi = s.select_row()
                 if vi is not None:
                     stack.append(_Frame("node", vi, iter(s.node_candidates(vi))))
@@ -581,18 +722,19 @@ class _Engine:
                 if not two_level:
                     return None
                 phase = "edge"
-                continue
-            if two_level:
+            elif two_level:
                 edge = s.select_pending_edge()
                 if edge is None:
                     return self._solution()
+                stack.append(_Frame("edge", edge, iter(s.path_candidates(edge))))
+                return None
             elif k < len(edges):
-                edge = edges[k]
+                stack.append(_Frame("edge", edges[k], iter(s.path_candidates(edges[k])),
+                                    edges, k))
+                return None
             else:
                 phase = "node"
-                continue
-            stack.append(_Frame("edge", edge, iter(s.path_candidates(edge)), edges, k))
-            return None
+            self._enter()
 
     def _enter(self):
         self.stats.states_explored += 1
@@ -625,10 +767,16 @@ class _Engine:
         return Mapping(node_map, dict(sorted(edge_paths.items())))
 
 
-def _witnesses(g1, g2, l, h, strategy, config, stats):
-    """Window check, empty graphs and timed set-up and search of one call."""
-    stats = stats if stats is not None else SearchStats()
+def _check_call(strategy, l, h):
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}")
     check_length_window(l, h)
+
+
+def _witnesses(g1, g2, l, h, strategy, config, stats):
+    """Argument checks, empty graphs and timed set-up and search of one call."""
+    stats = stats if stats is not None else SearchStats()
+    _check_call(strategy, l, h)
     if g1.n == 0:
         stats.outcome = True
         yield Mapping({}, {})
@@ -692,7 +840,10 @@ def enumerate_all(g1: LabeledGraph, g2: LabeledGraph, l: int, h: int, *,
 
     Distinctness is by node map plus edge-to-path assignment; the
     search tree branches on disjoint choices, so no duplicates arise.
+    An unknown strategy or an invalid window raises ``ValueError`` at the
+    first ``next``, whatever the limit and the graphs.
     """
+    _check_call(strategy, l, h)
     if limit is not None and limit <= 0:
         return
     run = _witnesses(g1, g2, l, h, strategy, config, stats)

@@ -182,8 +182,10 @@ class TestRemovalAndUndo:
             stack = []
             for _ in range(100):
                 alive = [p for p in range(len(store)) if store.is_alive(p)]
+                removal = True
                 if stack and rng.random() < 0.4:
                     store.undo(stack.pop())
+                    removal = False
                 elif rng.random() < 0.6:
                     v = rng.randrange(1, g.n + 1)
                     stack.append(store.remove_paths_through_vertex(v))
@@ -199,20 +201,23 @@ class TestRemovalAndUndo:
                     assert sorted(stack[-1].killed) == [
                         p for p in alive if p != pid and taken & set(store.inner(p))
                     ], (l, seed, pid)
-                last = assert_derived_structures(store, last)
+                last = assert_derived_structures(store, last, removal)
             while stack:
                 store.undo(stack.pop())
                 last = assert_derived_structures(store, last)
             assert store.snapshot() == initial, (l, seed)
 
 
-def assert_derived_structures(store, last=None):
+def assert_derived_structures(store, last=None, removal=False):
     """Check the structures the build's bulk pass fills against a full recount.
 
     ``last`` is what the previous call returned, with exactly one removal
     batch or undo run since: every candidate whose alive incident paths
-    changed must carry the advanced clock, every other one its old stamp.
-    Returns the clock, the stamps and the alive paths per end.
+    changed must carry the advanced clock, every other one its old stamp,
+    and ``changed_ends`` must list exactly those candidates, once each; it
+    is emptied here.  After a removal batch (``removal``), ``zeroed_pairs``
+    must list exactly the pairs it left without an alive path.  Returns the
+    clock, the stamps, the alive paths per end and the alive count per pair.
     """
     ends = {v: [] for v in store.candidates}
     alive_ends = {v: [] for v in store.candidates}
@@ -237,13 +242,21 @@ def assert_derived_structures(store, last=None):
         count = store.pair_count(u, w)
         assert count == len(store.alive_between(u, w)) == alive_pairs[u, w], (u, w)
     stamps = {v: store.stamps[v] for v in store.candidates}
-    if last is not None:
-        clock, last_stamps, last_alive_ends = last
+    if last is None:
+        assert store.changed_ends == [] and store.zeroed_pairs == []
+    else:
+        clock, last_stamps, last_alive_ends, last_pairs = last
         assert store.clock == clock + 1
         for v in store.candidates:
             changed = alive_ends[v] != last_alive_ends[v]
             assert stamps[v] == (store.clock if changed else last_stamps[v]), v
-    return store.clock, stamps, alive_ends
+        assert sorted(store.changed_ends) == [
+            v for v in store.candidates if alive_ends[v] != last_alive_ends[v]]
+        if removal:
+            assert sorted(store.zeroed_pairs) == sorted(
+                pair for pair in last_pairs if not alive_pairs[pair])
+    store.changed_ends.clear()
+    return store.clock, stamps, alive_ends, alive_pairs
 
 
 def test_dump_format(worked_pattern, worked_data):

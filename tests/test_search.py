@@ -6,7 +6,7 @@ import time
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from homeomatch import pathindex, search
 from homeomatch import (
@@ -345,6 +345,16 @@ class TestEnumeration:
         assert len(list(enumerate_all(pattern, data, 1, 1, limit=2))) == 2
         assert list(enumerate_all(pattern, data, 1, 1, limit=0)) == []
 
+    def test_arguments_are_checked_before_any_shortcut(self, worked_pattern, worked_data):
+        empty = LabeledGraph(0, {}, [])
+        for g1, g2 in ((worked_pattern, worked_data), (empty, worked_data),
+                       (worked_pattern, empty)):
+            for limit in (None, 0, 1):
+                with pytest.raises(ValueError, match="path length"):
+                    list(enumerate_all(g1, g2, 0, -1, limit=limit))
+                with pytest.raises(ValueError, match="unknown strategy"):
+                    list(enumerate_all(g1, g2, 1, 1, limit=limit, strategy="bogus"))
+
     def test_no_duplicates_and_matches_oracle_sets(self):
         windows = ((1, 2), (2, 2), (2, 3), (2, 4), (3, 3), (3, 4))
         for seed in range(25):
@@ -627,17 +637,96 @@ def test_strategies_and_oracle_agree_under_every_config(instance, config):
         assert set(got) == oracle
 
 
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(instance=_instances(), config=_CONFIGS)
+def test_push_local_dead_check_matches_the_full_one(instance, config):
+    """At every state the engine opens after a push, the dead check that
+    looks only at what the push changed answers as the full ``is_dead()``."""
+    g1, g2, l, h = instance
+    real = MatchState.is_dead_after_push
+
+    def compared(self):
+        verdict = real(self)
+        assert verdict == self.is_dead()
+        return verdict
+
+    with mock.patch.object(MatchState, "is_dead_after_push", compared):
+        for fn in (ndshd1, ndshd2):
+            fn(g1, g2, l, h, config=config)
+        for strategy in ("ndshd1", "ndshd2"):
+            list(enumerate_all(g1, g2, l, h, strategy=strategy, config=config))
+
+
+# Root refinement clears data vertex 3 from row 1, keeps row 2 and then
+# empties row 3, so each search ends at the root with row 1 clean, and only
+# the final restore regrows it.
+_DEAD_ROOT = (LabeledGraph(4, {1: "a", 2: "b", 3: "c", 4: "d"}, [(1, 2), (3, 4)]),
+              LabeledGraph(8, {1: "a", 2: "b", 3: "a", 4: "q", 5: "c", 6: "q", 7: "d", 8: "q"},
+                           [(1, 2), (3, 4), (5, 6), (7, 8)]),
+              1, 1)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(instance=_instances(), config=_CONFIGS)
+@example(instance=_DEAD_ROOT, config=SearchConfig())
+def test_one_state_serves_several_searches(instance, config):
+    """Searches run one after another on one state each give the witnesses
+    and the counters of a fresh state, in the same order, and leave the
+    state as a fresh one's, with every clean row vouched for by its record.
+    The change log, the dirty rows, the record of verified cells and the
+    store's clock, stamps and change lists all outlive a search."""
+    g1, g2, l, h = instance
+
+    def run(state, strategy, first_only):
+        stats = SearchStats(trace=[])
+        gen = search._Engine(state, strategy, stats).solutions()
+        try:
+            found = [next(gen, None)] if first_only else list(gen)
+        finally:
+            gen.close()
+        return [m.canonical_key() for m in found if m is not None], stats.as_dict(False)
+
+    shared = MatchState.create(g1, g2, l, h, config)
+    for strategy, first_only in (("ndshd1", True), ("ndshd2", True), ("ndshd2", False),
+                                 ("ndshd1", False)):
+        fresh = MatchState.create(g1, g2, l, h, config)
+        assert run(shared, strategy, first_only) == run(fresh, strategy, first_only)
+        assert full_snapshot(shared) == full_snapshot(fresh)
+        _assert_clean_rows_are_verified(shared)
+
+
 def _alive_ending_at(store, v):
     return [pid for pid in store.paths_ending_at(v) if store.is_alive(pid)]
+
+
+def _assert_clean_rows_are_verified(state):
+    """Every unmatched row that is not dirty, and holds no end whose alive
+    paths changed since the last refinement, is nonempty and has a record
+    that would re-check none of its cells."""
+    g1, rows, img, store = state.g1, state.matrix.rows, state.node_image, state.store
+    changed = set(store.changed_ends)
+    for i in g1.vertices:
+        if i in img or i in state._dirty or not rows[i].isdisjoint(changed):
+            continue
+        assert rows[i], i
+        if not g1.neighbors(i):
+            continue
+        key = tuple(img[u] if u in img else rows[u] for u in g1.neighbors(i))
+        entry = state._verified.get(i)
+        assert entry is not None and entry[0] == key, i
+        _key, clock, kept = entry
+        assert all(vj in kept and store.stamps[vj] <= clock for vj in rows[i]), i
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
 @given(instance=_instances(), config=_CONFIGS)
 def test_refinement_record_skips_only_unchanged_cells(instance, config):
     """At every refinement of a search, the pass that uses the record of
-    verified cells clears exactly the cells that a pass without it clears,
-    and every cell the record lets it skip has the same alive paths at its
-    column as when the record kept it."""
+    verified cells and scans only dirty rows clears exactly the cells that
+    a pass without the record clears with every unmatched row dirty, every
+    cell the record lets it skip has the same alive paths at its column as
+    when the record kept it, and every row left clean has a record that
+    vouches for all its cells."""
     g1, g2, l, h = instance
     real_refine = MatchState.refine_compatibility
     passes = []
@@ -645,18 +734,23 @@ def test_refinement_record_skips_only_unchanged_cells(instance, config):
 
     def checked_refine(self, hints=()):
         store, rows = self.store, self.matrix.rows
+        _assert_clean_rows_are_verified(self)
         written = alive_when_written.setdefault(self, {})
         for vi, (_key, clock, kept) in self._verified.items():
             alive = written[vi][1]
             for vj in kept:
                 if store.stamps[vj] <= clock:
                     assert _alive_ending_at(store, vj) == alive[vj], (vi, vj)
-        before = rows[:]
-        record, self._verified = self._verified, {}
+        before, logged = rows[:], len(self._log)
+        record, dirty, changed = self._verified, set(self._dirty), store.changed_ends[:]
+        self._verified = {}
+        self._dirty = {i for i in g1.vertices if i not in self.node_image}
         real_refine(self, hints)
         expected = rows[:]
         rows[:] = before
-        self._verified = record
+        del self._log[logged:]
+        self._verified, self._dirty = record, dirty
+        store.changed_ends[:] = changed
         real_refine(self, hints)
         assert rows == expected
         for vi, entry in record.items():
