@@ -44,7 +44,9 @@ store's alive paths.
 Backtracking restores state exactly, and a push or pop costs what it
 changes, not the pattern's size.  Matrix rows are immutable, so a change
 binds a new row and logs the old one; a pop rebinds only the rows its
-push logged, and only the search's root takes a snapshot of all rows.
+push logged, and a finished search unwinds the log to its length at the
+root, which also undoes the root refinement.  The search snapshots the
+rows only to check that the unwinding gave back its root's rows.
 The path store's alive flags, counters and reachability sets are rolled
 back through undo tokens in reverse order.  Refinement scans only the
 rows that something changed since their last scan, and the dead check
@@ -171,7 +173,8 @@ class CompatibleMatrix:
     so a snapshot is the list of row references and shares every row
     with the live matrix until one is rebound.  A search state logs each
     rebinding with the row it replaced, so a pop restores only the rows
-    its push changed; a search snapshots all rows once, at its root.
+    its push changed.  A search snapshots the rows at its root only to
+    check that its last unwinding gave them back.
     """
 
     __slots__ = ("rows",)
@@ -375,28 +378,6 @@ class MatchState:
                 if u not in img:
                     dirty.add(u)
 
-    def checkpoint(self) -> tuple:
-        """The matrix rows and change-log length that ``rollback`` returns to."""
-        return self.matrix.snapshot(), len(self._log)
-
-    def rollback(self, checkpoint: tuple):
-        """Return the rows to a checkpoint taken with nothing pushed since.
-
-        Each row the restore rebinds turns dirty, as do its unmatched
-        neighbours, and the log entries written since are dropped.
-        """
-        snap, mark = checkpoint
-        rows, img, dirty, adj = self.matrix.rows, self.node_image, self._dirty, self.g1._adj
-        for i, row in enumerate(snap, 1):
-            if rows[i] is not row:
-                if i not in img:
-                    dirty.add(i)
-                for u in adj[i]:
-                    if u not in img:
-                        dirty.add(u)
-        self.matrix.restore(snap)
-        del self._log[mark:]
-
     # state predicates ---------------------------------------------------
 
     def is_success(self) -> bool:
@@ -583,15 +564,13 @@ class MatchState:
             else:
                 clock, kept = 0, ()
             # A check never reads the cell's own row, so the cells it
-            # clears can be bound as one new row after the scan.
-            if matched_images:
-                recheck = [vj for vj in row if vj not in kept or stamps[vj] > clock]
-                passing = set(recheck).intersection(*[reach(fu) for fu in matched_images])
-                cleared = [vj for vj in recheck if vj not in passing
-                           or not has_witnesses(vj, matched_images, neighbor_rows, cap)]
-            else:
-                cleared = [vj for vj in row if (vj not in kept or stamps[vj] > clock)
-                           and not has_witnesses(vj, matched_images, neighbor_rows, cap)]
+            # clears can be bound as one new row after the scan.  With no
+            # matched neighbour there is no reach test: every cell passes.
+            recheck = [vj for vj in row if vj not in kept or stamps[vj] > clock]
+            passing = (set(recheck).intersection(*[reach(fu) for fu in matched_images])
+                       if matched_images else row)
+            cleared = [vj for vj in recheck if vj not in passing
+                       or not has_witnesses(vj, matched_images, neighbor_rows, cap)]
             if cleared:
                 for u in adj[vi]:
                     if u not in img and u not in dirty:
@@ -645,7 +624,8 @@ class _Engine:
     differ only in the state that follows a push: ``ndshd1`` stays at the
     node level until every row is matched, then takes pending edges by
     ``select_pending_edge``; ``ndshd2`` walks the ``new_edges_emergent``
-    list in order, then goes back to the node level.
+    list in order, then goes back to the node level.  The caller checks
+    the strategy name: any name but ``ndshd1`` runs ``ndshd2``.
     """
 
     def __init__(self, state: MatchState, strategy: str, stats: SearchStats):
@@ -657,7 +637,7 @@ class _Engine:
     def solutions(self):
         """Generator of complete mappings; closing it restores the state."""
         s = self.state
-        root = s.checkpoint()
+        root, rows = len(s._log), s.matrix.snapshot()
         stack: list[_Frame] = []
         try:
             # One refinement pass before the first selection settles most
@@ -695,7 +675,9 @@ class _Engine:
             while stack:
                 if stack.pop().pushed:
                     s.pop()
-            s.rollback(root)
+            s._unwind(root)
+            if s.matrix.snapshot() != rows:
+                raise AssertionError("the change log did not restore the root rows")
 
     def _open(self, stack, phase, edges, k, is_dead) -> Mapping | None:
         """Enter the root or the state after a push; stack its frame or return its mapping.
@@ -843,8 +825,8 @@ def enumerate_all(g1: LabeledGraph, g2: LabeledGraph, l: int, h: int, *,
     An unknown strategy or an invalid window raises ``ValueError`` at the
     first ``next``, whatever the limit and the graphs.
     """
-    _check_call(strategy, l, h)
     if limit is not None and limit <= 0:
+        _check_call(strategy, l, h)
         return
     run = _witnesses(g1, g2, l, h, strategy, config, stats)
     try:
