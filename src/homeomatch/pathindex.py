@@ -10,12 +10,9 @@ matrix consulted by the search), the reachability sets and the
 per-end and per-inner-vertex lists.  Removal batches flip alive flags
 and return tokens; undoing tokens in reverse order restores the alive
 flags, counters and reachability sets exactly, which is what
-backtracking relies on.  A batch clock and a per-end stamp record when
-the alive paths at each end last changed; they only grow, so a reader
-can tell that nothing at an end changed since it last looked.  Two
-lists tell a reader what the batches changed without a scan: the ends
-whose alive paths changed, in the order they were first stamped, and
-the end pairs the latest removal batch left without an alive path.
+backtracking relies on.  Two fields tell a reader what the removal
+batches changed without a scan: the set of ends whose alive paths
+changed, and the end pairs the latest batch left without an alive path.
 
 A store belongs to exactly one search and is never mutated
 concurrently.  The maximum usable ``h`` is capped (default 6, env
@@ -95,20 +92,18 @@ class PathStore:
     reads those ending at a committed inner vertex, which is never an
     image, a row entry or a refined cell.
 
-    ``clock`` counts batches: each ``remove_paths_*`` call and each
-    ``undo`` advances it by one.  ``stamps[v]`` is the clock of the last
-    batch that killed or revived a path ending at ``v`` (0 if none did).
-    Each batch appends to ``changed_ends`` every end it stamps, once per
-    batch; the reader that consumes the list empties it.  ``zeroed_pairs``
-    lists the end pairs whose alive count the latest removal batch took
-    to zero.  Undo rolls back none of these.  ``witness_tries`` counts
-    the paths ``has_witnesses`` has tried over the store's life.
+    Each removal batch adds to the set ``changed_ends`` every end of a
+    path it kills; the reader that consumes the set empties it.
+    ``zeroed_pairs`` lists the end pairs whose alive count the latest
+    removal batch took to zero.  ``undo`` touches neither: a caller that
+    undoes a batch restores its own view of what changed.
+    ``witness_tries`` counts the paths ``has_witnesses`` has tried over
+    the store's life.
     """
 
     __slots__ = ("l", "h", "candidates", "_cand_set", "_verts", "_alive",
                  "by_pair", "_by_inner", "_by_end", "_pair_alive",
-                 "_reach", "clock", "stamps", "changed_ends", "zeroed_pairs",
-                 "witness_tries")
+                 "_reach", "changed_ends", "zeroed_pairs", "witness_tries")
 
     def __init__(self, l: int, h: int, candidates, verts: list[tuple[int, ...]],
                  by_pair: dict[tuple[int, int], list[int]]):
@@ -139,9 +134,7 @@ class PathStore:
                 by_inner[x].append(pid)
         self._by_end = dict(by_end)
         self._by_inner = dict(by_inner)
-        self.clock = 0
-        self.stamps = [0] * (self.candidates[-1] + 1 if self.candidates else 1)
-        self.changed_ends: list[int] = []
+        self.changed_ends: set[int] = set()
         self.zeroed_pairs: list[tuple[int, int]] = []
         self.witness_tries = 0
 
@@ -183,9 +176,8 @@ class PathStore:
 
     def _kill_all(self, pid_lists, keep: int = -1) -> UndoToken:
         """Deactivate, as one batch, every alive path in the lists but ``keep``."""
-        self.clock = clock = self.clock + 1
         alive, verts, pair_alive = self._alive, self._verts, self._pair_alive
-        reach, stamps, changed = self._reach, self.stamps, self.changed_ends
+        reach, changed = self._reach, self.changed_ends
         self.zeroed_pairs = zeroed = []
         killed: list[int] = []
         for pids in pid_lists:
@@ -200,12 +192,8 @@ class PathStore:
                         reach[u].discard(w)
                         reach[w].discard(u)
                         zeroed.append(key)
-                    if stamps[u] != clock:
-                        stamps[u] = clock
-                        changed.append(u)
-                    if stamps[w] != clock:
-                        stamps[w] = clock
-                        changed.append(w)
+                    changed.add(u)
+                    changed.add(w)
                     killed.append(pid)
         return UndoToken(tuple(killed))
 
@@ -227,9 +215,9 @@ class PathStore:
         return self._kill_all([self._by_inner[x] for x in self._verts[pid][1:-1]], keep=pid)
 
     def undo(self, token: UndoToken):
-        self.clock = clock = self.clock + 1
+        """Revive the token's paths; ``changed_ends`` and ``zeroed_pairs`` stay."""
         alive, verts, pair_alive = self._alive, self._verts, self._pair_alive
-        reach, stamps, changed = self._reach, self.stamps, self.changed_ends
+        reach = self._reach
         for pid in reversed(token.killed):
             alive[pid] = 1
             v = verts[pid]
@@ -239,12 +227,6 @@ class PathStore:
             if count == 1:
                 reach[u].add(w)
                 reach[w].add(u)
-            if stamps[u] != clock:
-                stamps[u] = clock
-                changed.append(u)
-            if stamps[w] != clock:
-                stamps[w] = clock
-                changed.append(w)
 
     def has_witnesses(self, v: int, images, rows, cap: int) -> bool:
         """Whether one alive path per requirement at ``v`` can be picked independent.
@@ -327,7 +309,7 @@ class PathStore:
     def snapshot(self):
         """Fingerprint of the state that undo restores, for exact-restore checks.
 
-        The clock, the stamps and the two change lists are left out.
+        ``changed_ends`` and ``zeroed_pairs`` are left out.
         """
         sets = {v: frozenset(s) for v, s in self._reach.items()}
         return bytes(self._alive), dict(self._pair_alive), sets

@@ -48,17 +48,17 @@ push logged, and a finished search unwinds the log to its length at the
 root, which also undoes the root refinement.  The search snapshots the
 rows only to check that the unwinding gave back its root's rows.
 The path store's alive flags, counters and reachability sets are rolled
-back through undo tokens in reverse order.  Refinement scans only the
-rows that something changed since their last scan, and the dead check
-after a push looks only at what the push changed.  The store's batch
-clock, per-end stamps and change lists, the set of rows to scan and the
-refinement's record of verified cells outlive a pop; they never change
-a result.  A search owns its state and is single-threaded; the input
-graphs are never modified.
+back through undo tokens in reverse order.  Refinement re-checks only
+the cells that something changed since they were last checked; which
+cells those are is part of the state, saved by a push and put back by
+its pop (trailing), so nothing of a search outlives it.  The dead check
+after a push looks only at what the push changed.  A search owns its
+state and is single-threaded; the input graphs are never modified.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -116,6 +116,10 @@ class SearchConfig:
     def __post_init__(self):
         if self.order not in ORDERS:
             raise ValueError(f"unknown order {self.order!r}")
+        if type(self.witness_cap) is not int or self.witness_cap < 0:
+            raise ValueError(f"witness_cap must be an int >= 0, not {self.witness_cap!r}")
+        if self.deadline is not None and math.isnan(self.deadline):
+            raise ValueError("deadline must not be NaN")
 
 
 @dataclass
@@ -231,7 +235,8 @@ class MatchState:
 
     All mutation goes through ``push_node_match`` / ``push_path_match``
     and is undone exactly by ``pop()``; a fully popped state has the
-    matrix, matches and store contents of the freshly created one.  The
+    matrix, matches, dirty map and store contents of the freshly created
+    one.  The
     matches live in ``node_image`` and ``path_of_edge`` alone, whose
     insertion order is the push order, so a pop removes their newest
     entry.
@@ -242,13 +247,15 @@ class MatchState:
     taken vertex, or an end whose alive paths changed, is looked up only
     in the groups whose initial row holds it.
 
-    Refinement scans only dirty rows.  A row turns dirty when a
-    neighbour's row or image changes, when a pop makes it regrow, when a
-    strip empties it, or when one of its cells is an end whose alive
-    paths a kill or undo changed; a scan that records the row cleans it.
-    The dirty set, the record of verified cells and the store's clock,
-    stamps and change lists are not rolled back: no result depends on
-    them.
+    Refinement scans only dirty rows: the map ``_dirty`` takes each
+    unmatched row that needs a scan to its pending cells, the cells to
+    re-check, or to ``None`` for every cell.  A neighbour's new row or
+    image makes every cell pending, as does a strip that empties the
+    row; the next refinement adds the ends of the paths a kill removed
+    to the pending cells of the rows holding them.  A scan takes the row
+    out of the map.  Each push saves the map in its trail entry and
+    works on a copy, and its pop puts the saved map back, so the map
+    always matches the rows and alive paths it describes.
     """
 
     def __init__(self, g1: LabeledGraph, matrix: CompatibleMatrix, store,
@@ -261,9 +268,10 @@ class MatchState:
         self.path_of_edge: dict[tuple[int, int], int] = {}
         self._edges = g1.sorted_edges()
         self._preimage: dict[int, int] = {}  # image -> pattern vertex matched to it
-        self._trail: list = []  # (kind, change-log length, undo token) per push
+        self._trail: list = []  # (kind, change-log length, undo token, dirty map) per push
         self._log: list[tuple[int, frozenset[int]]] = []  # (row, old row) per rebinding
-        self._dirty = set(g1.vertices)  # unmatched rows the next refinement scans
+        # unmatched row -> the cells its next scan re-checks (None: every cell)
+        self._dirty: dict[int, frozenset[int] | None] = dict.fromkeys(g1.vertices)
         # The rows of the matrix the state starts from, grouped by content
         # (rows of one label and degree are equal): rows only shrink, so a
         # data vertex can be only in the rows of groups whose row holds it.
@@ -271,8 +279,6 @@ class MatchState:
         for i in g1.vertices:
             groups.setdefault(matrix.rows[i], []).append(i)
         self._groups = list(groups.items())
-        # pattern row -> (neighbour key, store clock, cells kept) of its last scan
-        self._verified: dict[int, tuple] = {}
 
     @classmethod
     def create(cls, g1: LabeledGraph, g2: LabeledGraph, l: int, h: int,
@@ -296,11 +302,10 @@ class MatchState:
         Kills the paths running through vj and binds row vi to {vj}; then
         ``_take`` strips vj from the unmatched rows and refines.
         """
-        self._trail.append(("node", len(self._log),
-                            self.store.remove_paths_through_vertex(vj)))
+        self._save("node", self.store.remove_paths_through_vertex(vj))
         self.node_image[vi] = vj
         self._preimage[vj] = vi
-        self._dirty.discard(vi)
+        self._dirty.pop(vi, None)
         self._rebind(vi, frozenset((vj,)))
         self._take((vj,), hints=(vi,))
 
@@ -311,20 +316,24 @@ class MatchState:
         them from the unmatched rows and refines.
         """
         store = self.store
-        self._trail.append(("edge", len(self._log),
-                            store.remove_paths_conflicting_with(pid)))
+        self._save("edge", store.remove_paths_conflicting_with(pid))
         self.path_of_edge[edge] = pid
         self._take(store.inner(pid), hints=edge)
 
+    def _save(self, kind: str, token):
+        """Open a trail entry for a push; the push edits a copy of the dirty map."""
+        self._trail.append((kind, len(self._log), token, self._dirty))
+        self._dirty = self._dirty.copy()
+
     def _rebind(self, i: int, row: frozenset[int]):
-        """Log and bind row i; its unmatched neighbours turn dirty."""
+        """Log and bind row i; every cell of its unmatched neighbours turns pending."""
         rows = self.matrix.rows
         self._log.append((i, rows[i]))
         rows[i] = row
         img, dirty = self.node_image, self._dirty
         for u in self.g1._adj[i]:
             if u not in img:
-                dirty.add(u)
+                dirty[u] = None
 
     def _take(self, taken, hints):
         """Strip the taken vertices from the unmatched rows, then refine.
@@ -345,7 +354,7 @@ class MatchState:
                     row = rows[i].difference(taken)
                     self._rebind(i, row)
                     if not row:
-                        self._dirty.add(i)
+                        self._dirty[i] = None
         try:
             self.refine_compatibility(hints=hints)
         except SearchTimeout:
@@ -353,8 +362,8 @@ class MatchState:
             raise
 
     def pop(self):
-        """Undo the most recent push exactly."""
-        kind, mark, token = self._trail.pop()
+        """Undo the most recent push exactly, the dirty map included."""
+        kind, mark, token, self._dirty = self._trail.pop()
         self.store.undo(token)
         if kind == "node":
             del self._preimage[self.node_image.popitem()[1]]
@@ -363,20 +372,11 @@ class MatchState:
         self._unwind(mark)
 
     def _unwind(self, mark: int):
-        """Rebind the rows logged after the first ``mark`` entries, newest first.
-
-        Each row rebound turns dirty, as do its unmatched neighbours.
-        """
+        """Rebind the rows logged after the first ``mark`` entries, newest first."""
         rows, log = self.matrix.rows, self._log
-        img, dirty, adj = self.node_image, self._dirty, self.g1._adj
         while len(log) > mark:
             i, old = log.pop()
             rows[i] = old
-            if i not in img:
-                dirty.add(i)
-            for u in adj[i]:
-                if u not in img:
-                    dirty.add(u)
 
     # state predicates ---------------------------------------------------
 
@@ -491,35 +491,32 @@ class MatchState:
         state is then dead and about to be discarded anyway.
 
         A cell's verdict depends only on its neighbours' images or rows,
-        the witness cap and the alive paths ending at its column.  Each
-        scanned row therefore records its neighbour key (each matched
-        neighbour's image, each unmatched neighbour's row object), the
-        store clock and the row it kept; a later scan with an equal key
-        re-checks only the cells it did not keep or whose column's stamp
-        is newer.  Rows are compared by identity first, then by contents,
-        and equal contents give equal verdicts.  A row that is not dirty
-        would re-check nothing, so only dirty rows are scanned; a row
-        whose cells this pass clears dirties its neighbours, which are
-        scanned later in the pass if they come after it.  Reach sets are
-        symmetric, so the cells outside the reach set of some matched
-        neighbour's image are cleared without a pick.  The cells a scan
-        clears are bound as one new row.  The configured deadline is
-        polled once per row scanned.
+        the witness cap and the alive paths ending at its column, so only
+        the dirty rows are scanned, each re-checking only its pending
+        cells (see ``MatchState``).  The ends of the paths killed since
+        the last pass first become pending cells of the rows holding
+        them.  A row whose cells this pass clears makes its neighbours
+        dirty, and they are scanned later in the pass if they come after
+        it.  Reach sets are symmetric, so the cells outside the reach set
+        of some matched neighbour's image are cleared without a pick.
+        The cells a scan clears are bound as one new row.  The configured
+        deadline is polled once per row scanned.
         """
         adj = self.g1._adj
         rows = self.matrix.rows
         img = self.node_image
         store = self.store
         dirty = self._dirty
-        changed = store.changed_ends
-        if changed:
-            ends = set(changed)
-            changed.clear()
+        ends = store.changed_ends
+        if ends:
+            store.changed_ends = set()
             for initial, ids in self._groups:
                 if not initial.isdisjoint(ends):
                     for i in ids:
-                        if i not in img and not rows[i].isdisjoint(ends):
-                            dirty.add(i)
+                        pending = dirty.get(i, frozenset())
+                        if (pending is not None and i not in img
+                                and not rows[i].isdisjoint(ends)):
+                            dirty[i] = pending.union(rows[i].intersection(ends))
         if not dirty:
             return
         head = []  # the hint rows, whose visit positions are -len(head)..-1
@@ -530,8 +527,6 @@ class MatchState:
         first = {u: k - len(head) for k, u in enumerate(head)}
         heap = [first.get(i, i) for i in dirty]
         heapify(heap)
-        stamps = store.stamps
-        verified = self._verified
         reach = store.reachable_from
         has_witnesses, cap = store.has_witnesses, self.config.witness_cap
         deadline = self.config.deadline
@@ -543,31 +538,22 @@ class MatchState:
             row = rows[vi]
             if not row:
                 return
+            pending = dirty.pop(vi)
+            if not adj[vi]:
+                continue
             matched_images = []
             neighbor_rows = []
-            key = []
             for u in adj[vi]:
                 fu = img.get(u)
                 if fu is not None:
                     matched_images.append(fu)
-                    key.append(fu)
                 else:
                     neighbor_rows.append(rows[u])
-                    key.append(rows[u])
-            if not key:
-                dirty.discard(vi)
-                continue
-            key = tuple(key)
-            last = verified.get(vi)
-            if last is not None and last[0] == key:
-                _, clock, kept = last
-            else:
-                clock, kept = 0, ()
             # A check never reads the cell's own row, so the cells it
             # clears can be bound as one new row after the scan.  With no
             # matched neighbour there is no reach test: every cell passes.
-            recheck = [vj for vj in row if vj not in kept or stamps[vj] > clock]
-            passing = (set(recheck).intersection(*[reach(fu) for fu in matched_images])
+            recheck = row if pending is None else row.intersection(pending)
+            passing = (recheck.intersection(*[reach(fu) for fu in matched_images])
                        if matched_images else row)
             cleared = [vj for vj in recheck if vj not in passing
                        or not has_witnesses(vj, matched_images, neighbor_rows, cap)]
@@ -579,10 +565,8 @@ class MatchState:
                             heappush(heap, later)
                 row = row.difference(cleared)
                 self._rebind(vi, row)
-            verified[vi] = (key, store.clock, row)
-            if not row:
-                return
-            dirty.discard(vi)
+                if not row:
+                    return
 
 
 def new_edges_emergent(state: MatchState, g1: LabeledGraph) -> list[tuple[int, int]]:
@@ -637,7 +621,8 @@ class _Engine:
     def solutions(self):
         """Generator of complete mappings; closing it restores the state."""
         s = self.state
-        root, rows = len(s._log), s.matrix.snapshot()
+        # Root refinement edits the dirty map in place, so the root keeps a copy.
+        root, dirty, rows = len(s._log), s._dirty.copy(), s.matrix.snapshot()
         stack: list[_Frame] = []
         try:
             # One refinement pass before the first selection settles most
@@ -676,6 +661,7 @@ class _Engine:
                 if stack.pop().pushed:
                     s.pop()
             s._unwind(root)
+            s._dirty = dirty
             if s.matrix.snapshot() != rows:
                 raise AssertionError("the change log did not restore the root rows")
 

@@ -176,7 +176,6 @@ class TestRemovalAndUndo:
             rng = random.Random(seed)
             g = random_labeled_graph(rng.randint(6, 12), 2.5, 2, seed)
             store = enumerate_paths(g, tuple(g.vertices), l, 3)
-            assert store.clock == 0 and not any(store.stamps)
             last = assert_derived_structures(store)
             initial = store.snapshot()
             stack = []
@@ -188,6 +187,7 @@ class TestRemovalAndUndo:
                     removal = False
                 elif rng.random() < 0.6:
                     v = rng.randrange(1, g.n + 1)
+                    store.changed_ends.clear()
                     stack.append(store.remove_paths_through_vertex(v))
                     # a batch kills exactly the alive paths the taken vertex is inside
                     assert sorted(stack[-1].killed) == [
@@ -196,6 +196,7 @@ class TestRemovalAndUndo:
                     if not alive:
                         continue
                     pid = rng.choice(alive)
+                    store.changed_ends.clear()
                     stack.append(store.remove_paths_conflicting_with(pid))
                     taken = set(store.inner(pid))
                     assert sorted(stack[-1].killed) == [
@@ -212,12 +213,12 @@ def assert_derived_structures(store, last=None, removal=False):
     """Check the structures the build's bulk pass fills against a full recount.
 
     ``last`` is what the previous call returned, with exactly one removal
-    batch or undo run since: every candidate whose alive incident paths
-    changed must carry the advanced clock, every other one its old stamp,
-    and ``changed_ends`` must list exactly those candidates, once each; it
-    is emptied here.  After a removal batch (``removal``), ``zeroed_pairs``
-    must list exactly the pairs it left without an alive path.  Returns the
-    clock, the stamps, the alive paths per end and the alive count per pair.
+    batch or undo run since.  A removal batch (``removal``) starts with
+    ``changed_ends`` emptied; after it, ``changed_ends`` must hold exactly
+    the candidates whose alive incident paths changed, and ``zeroed_pairs``
+    exactly the pairs it left without an alive path.  An undo must leave
+    both as they were.  Returns the alive paths per end, the alive count
+    per pair and copies of the two change fields.
     """
     ends = {v: [] for v in store.candidates}
     alive_ends = {v: [] for v in store.candidates}
@@ -241,22 +242,17 @@ def assert_derived_structures(store, last=None, removal=False):
     for u, w in itertools.combinations(store.candidates, 2):
         count = store.pair_count(u, w)
         assert count == len(store.alive_between(u, w)) == alive_pairs[u, w], (u, w)
-    stamps = {v: store.stamps[v] for v in store.candidates}
     if last is None:
-        assert store.changed_ends == [] and store.zeroed_pairs == []
+        assert store.changed_ends == set() and store.zeroed_pairs == []
+    elif removal:
+        last_alive_ends, last_pairs = last[:2]
+        assert store.changed_ends == {
+            v for v in store.candidates if alive_ends[v] != last_alive_ends[v]}
+        assert sorted(store.zeroed_pairs) == sorted(
+            pair for pair in last_pairs if not alive_pairs[pair])
     else:
-        clock, last_stamps, last_alive_ends, last_pairs = last
-        assert store.clock == clock + 1
-        for v in store.candidates:
-            changed = alive_ends[v] != last_alive_ends[v]
-            assert stamps[v] == (store.clock if changed else last_stamps[v]), v
-        assert sorted(store.changed_ends) == [
-            v for v in store.candidates if alive_ends[v] != last_alive_ends[v]]
-        if removal:
-            assert sorted(store.zeroed_pairs) == sorted(
-                pair for pair in last_pairs if not alive_pairs[pair])
-    store.changed_ends.clear()
-    return store.clock, stamps, alive_ends, alive_pairs
+        assert (store.changed_ends, store.zeroed_pairs) == last[2:]
+    return alive_ends, alive_pairs, set(store.changed_ends), list(store.zeroed_pairs)
 
 
 def test_dump_format(worked_pattern, worked_data):

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import gc
 import random
@@ -34,7 +35,8 @@ EXPECTED_PATHS = {(1, 2): (2, 1, 8), (1, 3): (2, 9, 6), (1, 4): (2, 3, 4),
 
 def full_snapshot(state):
     return (state.matrix.snapshot(), state.store.snapshot(),
-            list(state.node_image.items()), list(state.path_of_edge.items()))
+            list(state.node_image.items()), list(state.path_of_edge.items()),
+            dict(state._dirty))
 
 
 class TestInitialCompatibleMatrix:
@@ -288,6 +290,16 @@ class TestDetermination:
         w = ndshd1(worked_pattern, worked_data, 2, 2, config=cfg)
         assert w is not None
         assert verify_mapping(worked_pattern, worked_data, 2, 2, w)
+
+    @pytest.mark.parametrize("field, value", [
+        ("order", "random"), ("witness_cap", -1), ("witness_cap", 2.5),
+        ("witness_cap", True), ("deadline", float("nan"))])
+    def test_config_rejects_invalid_fields(self, field, value):
+        # A negative cap would turn off the witness pick, a NaN deadline
+        # would never fire.
+        with pytest.raises(ValueError, match=field):
+            SearchConfig(**{field: value})
+        assert SearchConfig(witness_cap=0, deadline=0.0).witness_cap == 0
 
     def test_timeout_raises(self, worked_pattern, worked_data):
         cfg = SearchConfig(deadline=0.0)
@@ -658,12 +670,26 @@ def test_push_local_dead_check_matches_the_full_one(instance, config):
 
 
 # Root refinement clears data vertex 3 from row 1, keeps row 2 and then
-# empties row 3, so each search ends at the root with row 1 clean, and only
-# the final restore regrows it.
+# empties row 3, so each search ends at the root with row 1 out of the dirty
+# map, and only the final restore regrows it and puts it back in the map.
 _DEAD_ROOT = (LabeledGraph(4, {1: "a", 2: "b", 3: "c", 4: "d"}, [(1, 2), (3, 4)]),
               LabeledGraph(8, {1: "a", 2: "b", 3: "a", 4: "q", 5: "c", 6: "q", 7: "d", 8: "q"},
                            [(1, 2), (3, 4), (5, 6), (7, 8)]),
               1, 1)
+
+
+def _run_engine(state, strategy, first_only):
+    """Canonical witnesses and deterministic stats of one search on ``state``."""
+    stats = SearchStats(trace=[])
+    gen = search._Engine(state, strategy, stats).solutions()
+    try:
+        found = [next(gen, None)] if first_only else list(gen)
+    finally:
+        gen.close()
+    return [m.canonical_key() for m in found if m is not None], stats.as_dict(False)
+
+
+_SEARCHES = (("ndshd1", True), ("ndshd2", True), ("ndshd2", False), ("ndshd1", False))
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
@@ -672,90 +698,103 @@ _DEAD_ROOT = (LabeledGraph(4, {1: "a", 2: "b", 3: "c", 4: "d"}, [(1, 2), (3, 4)]
 def test_one_state_serves_several_searches(instance, config):
     """Searches run one after another on one state each give the witnesses
     and the counters of a fresh state, in the same order, and leave the
-    state as a fresh one's, with every clean row vouched for by its record.
-    The change log, the dirty rows, the record of verified cells and the
-    store's clock, stamps and change lists all outlive a search."""
+    state, its dirty map included, as a fresh one's."""
     g1, g2, l, h = instance
-
-    def run(state, strategy, first_only):
-        stats = SearchStats(trace=[])
-        gen = search._Engine(state, strategy, stats).solutions()
-        try:
-            found = [next(gen, None)] if first_only else list(gen)
-        finally:
-            gen.close()
-        return [m.canonical_key() for m in found if m is not None], stats.as_dict(False)
-
     shared = MatchState.create(g1, g2, l, h, config)
-    for strategy, first_only in (("ndshd1", True), ("ndshd2", True), ("ndshd2", False),
-                                 ("ndshd1", False)):
+    for strategy, first_only in _SEARCHES:
         fresh = MatchState.create(g1, g2, l, h, config)
-        assert run(shared, strategy, first_only) == run(fresh, strategy, first_only)
+        assert (_run_engine(shared, strategy, first_only)
+                == _run_engine(fresh, strategy, first_only))
         assert full_snapshot(shared) == full_snapshot(fresh)
-        _assert_clean_rows_are_verified(shared)
-
-
-def _alive_ending_at(store, v):
-    return [pid for pid in store.paths_ending_at(v) if store.is_alive(pid)]
-
-
-def _assert_clean_rows_are_verified(state):
-    """Every unmatched row that is not dirty, and holds no end whose alive
-    paths changed since the last refinement, is nonempty and has a record
-    that would re-check none of its cells."""
-    g1, rows, img, store = state.g1, state.matrix.rows, state.node_image, state.store
-    changed = set(store.changed_ends)
-    for i in g1.vertices:
-        if i in img or i in state._dirty or not rows[i].isdisjoint(changed):
-            continue
-        assert rows[i], i
-        if not g1.neighbors(i):
-            continue
-        key = tuple(img[u] if u in img else rows[u] for u in g1.neighbors(i))
-        entry = state._verified.get(i)
-        assert entry is not None and entry[0] == key, i
-        _key, clock, kept = entry
-        assert all(vj in kept and store.stamps[vj] <= clock for vj in rows[i]), i
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
 @given(instance=_instances(), config=_CONFIGS)
-def test_refinement_record_skips_only_unchanged_cells(instance, config):
-    """At every refinement of a search, the pass that uses the record of
-    verified cells and scans only dirty rows clears exactly the cells that
-    a pass without the record clears with every unmatched row dirty, every
-    cell the record lets it skip has the same alive paths at its column as
-    when the record kept it, and every row left clean has a record that
-    vouches for all its cells."""
+def test_pop_gives_back_the_dirty_map_its_push_found(instance, config):
+    """Every pop puts back exactly the dirty map that its push found, and a
+    finished or closed search leaves the map that its root found."""
+    g1, g2, l, h = instance
+    real_node, real_path, real_pop = (MatchState.push_node_match,
+                                      MatchState.push_path_match, MatchState.pop)
+    found = []  # the dirty map each open push found, oldest first
+
+    def recording(real):
+        def push(self, item, choice):
+            found.append(copy.copy(self._dirty))
+            real(self, item, choice)
+        return push
+
+    def checked_pop(self):
+        real_pop(self)
+        assert self._dirty == found.pop()
+
+    with mock.patch.object(MatchState, "push_node_match", recording(real_node)), \
+            mock.patch.object(MatchState, "push_path_match", recording(real_path)), \
+            mock.patch.object(MatchState, "pop", checked_pop):
+        for strategy, first_only in _SEARCHES:
+            state = MatchState.create(g1, g2, l, h, config)
+            root = copy.copy(state._dirty)
+            _run_engine(state, strategy, first_only)
+            assert not found
+            assert state._dirty == root
+
+
+def _assert_clean_cells_are_supported(state):
+    """Every cell of an unmatched row that the next refinement would not
+    re-check passes the reach tests and a fresh witness pick: the cells of
+    a row outside the dirty map, and the cells of a row outside its pending
+    set, unless the kills since the last refinement changed their ends."""
+    g1, rows, img, store = state.g1, state.matrix.rows, state.node_image, state.store
+    cap = state.config.witness_cap
+    for i in g1.vertices:
+        pending = state._dirty.get(i, frozenset())
+        if i in img or pending is None or not g1.neighbors(i):
+            continue
+        images = [img[u] for u in g1.neighbors(i) if u in img]
+        neighbor_rows = [rows[u] for u in g1.neighbors(i) if u not in img]
+        for vj in rows[i] - pending - store.changed_ends:
+            reach = store.reachable_from(vj)
+            assert reach.issuperset(images), (i, vj)
+            assert all(not row.isdisjoint(reach) for row in neighbor_rows), (i, vj)
+            assert store.has_witnesses(vj, images, neighbor_rows, cap), (i, vj)
+
+
+# Here ``ndshd2``'s path matches strip the last candidates from unmatched
+# rows, and a row after such a row in visit order has cells to clear.  A pass
+# that does not visit the emptied row clears them; a full pass stops first.
+_STRIPPED_EMPTY = (
+    LabeledGraph(4, {1: "L1", 2: "L1", 3: "L1", 4: "L2"}, [(1, 2), (1, 3), (2, 4)]),
+    LabeledGraph(7, {1: "L0", 2: "L1", 3: "L0", 4: "L2", 5: "L2", 6: "L1", 7: "L1"},
+                 [(1, 2), (1, 3), (1, 6), (1, 7), (2, 3), (2, 4), (2, 5), (2, 7), (3, 5),
+                  (4, 7), (6, 7)]),
+    2, 4)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(instance=_instances(), config=_CONFIGS)
+@example(instance=_STRIPPED_EMPTY, config=SearchConfig(order="ascending"))
+def test_refinement_rechecks_only_pending_cells(instance, config):
+    """At every refinement of a search, every cell it would not re-check is
+    supported, and the pass that re-checks only the pending cells clears
+    exactly the cells that a pass with every cell of every unmatched row
+    pending clears."""
     g1, g2, l, h = instance
     real_refine = MatchState.refine_compatibility
     passes = []
-    alive_when_written = {}  # state -> row -> (record entry, alive paths per kept cell)
 
     def checked_refine(self, hints=()):
         store, rows = self.store, self.matrix.rows
-        _assert_clean_rows_are_verified(self)
-        written = alive_when_written.setdefault(self, {})
-        for vi, (_key, clock, kept) in self._verified.items():
-            alive = written[vi][1]
-            for vj in kept:
-                if store.stamps[vj] <= clock:
-                    assert _alive_ending_at(store, vj) == alive[vj], (vi, vj)
+        _assert_clean_cells_are_supported(self)
         before, logged = rows[:], len(self._log)
-        record, dirty, changed = self._verified, set(self._dirty), store.changed_ends[:]
-        self._verified = {}
-        self._dirty = {i for i in g1.vertices if i not in self.node_image}
+        dirty, changed = self._dirty, set(store.changed_ends)
+        self._dirty = dict.fromkeys(i for i in g1.vertices if i not in self.node_image)
         real_refine(self, hints)
         expected = rows[:]
         rows[:] = before
         del self._log[logged:]
-        self._verified, self._dirty = record, dirty
-        store.changed_ends[:] = changed
+        self._dirty, store.changed_ends = dirty, changed
         real_refine(self, hints)
         assert rows == expected
-        for vi, entry in record.items():
-            if written.get(vi, (None,))[0] is not entry:
-                written[vi] = (entry, {vj: _alive_ending_at(store, vj) for vj in entry[2]})
         passes.append(hints)
 
     with mock.patch.object(MatchState, "refine_compatibility", checked_refine):
