@@ -36,7 +36,6 @@ from .search import (
     initial_compatible_matrix,
     ndshd1,
     ndshd2,
-    new_edges_emergent,
 )
 from .oracle import VerificationResult, bounded_simple_paths, brute_force_solve, verify_mapping
 
@@ -65,7 +64,6 @@ __all__ = [
     "initial_compatible_matrix",
     "ndshd1",
     "ndshd2",
-    "new_edges_emergent",
     "VerificationResult",
     "bounded_simple_paths",
     "brute_force_solve",

@@ -47,8 +47,11 @@ class SearchTimeout(Exception):
 
 
 def length_cap() -> int:
-    """Configured upper bound for h; HOMEOMATCH_MAX_H overrides the default."""
-    return int(os.environ.get(_ENV_MAX_H, DEFAULT_MAX_H))
+    """Configured upper bound for h; HOMEOMATCH_MAX_H, an integer >= 1, overrides the default."""
+    raw = os.environ.get(_ENV_MAX_H, str(DEFAULT_MAX_H))
+    if not raw.strip().isdecimal() or int(raw) < 1:
+        raise ValueError(f"{_ENV_MAX_H} must be an integer >= 1, not {raw!r}")
+    return int(raw)
 
 
 def check_length_window(l: int, h: int):

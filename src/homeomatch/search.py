@@ -12,6 +12,12 @@ another).  Two strategies share one engine:
   matching the next node (interleaved search), so conflicts surface
   while the partial solution is still small.
 
+A pending edge is a pattern edge whose two ends are matched and which
+has no committed path yet.  The state keeps the pending edges as one map
+keyed by their ends' images, and both strategies take their next edge
+from it: ``ndshd1`` once every node is matched, ``ndshd2`` right after
+the node match that made the edges pending.
+
 Both strategies are sound and complete and return the same boolean on
 every input; ``enumerate_all`` streams every distinct witness.  They run
 in one explicit-stack search loop (``_Engine``) whose depth is not
@@ -81,7 +87,6 @@ __all__ = [
     "initial_compatible_matrix",
     "MatchState",
     "Mapping",
-    "new_edges_emergent",
     "ndshd1",
     "ndshd2",
     "enumerate_all",
@@ -235,11 +240,16 @@ class MatchState:
 
     All mutation goes through ``push_node_match`` / ``push_path_match``
     and is undone exactly by ``pop()``; a fully popped state has the
-    matrix, matches, dirty map and store contents of the freshly created
-    one.  The
-    matches live in ``node_image`` and ``path_of_edge`` alone, whose
-    insertion order is the push order, so a pop removes their newest
-    entry.
+    matrix, matches, pending edges, dirty map and store contents of the
+    freshly created one.  The matches live in ``node_image`` and
+    ``path_of_edge`` alone, whose insertion order is the push order, so a
+    pop removes their newest entry.
+
+    ``pending`` maps the image pair ``(a, b)``, ``a < b``, of each pending
+    edge to the edge; it is the key of the store's pair counts and of a
+    path's ends.  A node match adds one entry per matched neighbour and a
+    path match deletes its edge's entry.  A pop reverses its push from
+    the popped match alone, so the map needs no trail entry.
 
     Every row rebinding is logged as ``(row, old row)``, and a pop
     rebinds, newest first, only the rows its push logged.  The rows of
@@ -266,8 +276,8 @@ class MatchState:
         self.config = config or SearchConfig()
         self.node_image: dict[int, int] = {}
         self.path_of_edge: dict[tuple[int, int], int] = {}
-        self._edges = g1.sorted_edges()
-        self._preimage: dict[int, int] = {}  # image -> pattern vertex matched to it
+        # image pair (a, b), a < b -> the pending pattern edge between its preimages
+        self.pending: dict[tuple[int, int], tuple[int, int]] = {}
         self._trail: list = []  # (kind, change-log length, undo token, dirty map) per push
         self._log: list[tuple[int, frozenset[int]]] = []  # (row, old row) per rebinding
         # unmatched row -> the cells its next scan re-checks (None: every cell)
@@ -303,8 +313,12 @@ class MatchState:
         ``_take`` strips vj from the unmatched rows and refines.
         """
         self._save("node", self.store.remove_paths_through_vertex(vj))
-        self.node_image[vi] = vj
-        self._preimage[vj] = vi
+        img, pending = self.node_image, self.pending
+        for u in self.g1._adj[vi]:
+            fu = img.get(u)
+            if fu is not None:
+                pending[(vj, fu) if vj < fu else (fu, vj)] = (vi, u) if vi < u else (u, vi)
+        img[vi] = vj
         self._dirty.pop(vi, None)
         self._rebind(vi, frozenset((vj,)))
         self._take((vj,), hints=(vi,))
@@ -317,6 +331,8 @@ class MatchState:
         """
         store = self.store
         self._save("edge", store.remove_paths_conflicting_with(pid))
+        verts = store.vertices(pid)
+        del self.pending[verts[0], verts[-1]]
         self.path_of_edge[edge] = pid
         self._take(store.inner(pid), hints=edge)
 
@@ -362,13 +378,20 @@ class MatchState:
             raise
 
     def pop(self):
-        """Undo the most recent push exactly, the dirty map included."""
+        """Undo the most recent push exactly, the dirty map and pending edges included."""
         kind, mark, token, self._dirty = self._trail.pop()
-        self.store.undo(token)
+        store, img, pending = self.store, self.node_image, self.pending
+        store.undo(token)
         if kind == "node":
-            del self._preimage[self.node_image.popitem()[1]]
+            vi, vj = img.popitem()
+            for u in self.g1._adj[vi]:
+                fu = img.get(u)
+                if fu is not None:
+                    del pending[(vj, fu) if vj < fu else (fu, vj)]
         else:
-            self.path_of_edge.popitem()
+            edge, pid = self.path_of_edge.popitem()
+            verts = store.vertices(pid)
+            pending[verts[0], verts[-1]] = edge
         self._unwind(mark)
 
     def _unwind(self, mark: int):
@@ -411,9 +434,9 @@ class MatchState:
 
         A live state has no empty unmatched row and no pending edge
         without an alive path, so only what the push changed can kill
-        it: a row it rebound, or a pending edge whose end pair its kills
-        left without an alive path.  An edge the push made pending needs
-        no check.  Refinement kept the pushed cell only if each matched
+        it: a row it rebound, or a pending edge whose image pair its
+        kills left without an alive path.  An edge the push made pending
+        needs no check.  Refinement kept the pushed cell only if each matched
         neighbour's image was reachable from it, and a node match kills
         no path ending at its own image.
         """
@@ -421,20 +444,10 @@ class MatchState:
         for i, _old in self._log[self._trail[-1][1]:]:
             if not rows[i] and i not in img:
                 return True
-        pre, edges, committed = self._preimage, self.g1.edges, self.path_of_edge
-        for a, b in self.store.zeroed_pairs:
-            if a in pre and b in pre:
-                pa, pb = pre[a], pre[b]
-                e = (pa, pb) if pa < pb else (pb, pa)
-                if e in edges and e not in committed:
-                    return True
-        return False
+        pending = self.pending
+        return any(pair in pending for pair in self.store.zeroed_pairs)
 
     # candidate generation -----------------------------------------------
-
-    def pending_edges(self) -> list[tuple[int, int]]:
-        img, committed = self.node_image, self.path_of_edge
-        return [e for e in self._edges if e[0] in img and e[1] in img and e not in committed]
 
     def select_row(self) -> int | None:
         img = self.node_image
@@ -447,13 +460,18 @@ class MatchState:
         return unmatched[0]
 
     def select_pending_edge(self) -> tuple[int, int] | None:
-        pending = self.pending_edges()
+        """The pending edge to match next, or None when no edge is pending.
+
+        Under ``mcf`` the edge with the fewest alive paths between its
+        images, ties by ascending edge; under ``ascending`` the least edge.
+        """
+        pending = self.pending
         if not pending:
             return None
         if self.config.order == "mcf":
-            img, count = self.node_image, self.store.pair_count
-            return min(zip([count(img[a], img[b]) for a, b in pending], pending))[1]
-        return pending[0]
+            count = self.store.pair_count
+            return min((count(a, b), e) for (a, b), e in pending.items())[1]
+        return min(pending.values())
 
     def node_candidates(self, vi: int) -> list[int]:
         return sorted(self.matrix.rows[vi])
@@ -569,25 +587,6 @@ class MatchState:
                     return
 
 
-def new_edges_emergent(state: MatchState, g1: LabeledGraph) -> list[tuple[int, int]]:
-    """Pattern edges the newest node match completes, in ascending order.
-
-    These join the just-matched pattern vertex to previously matched
-    ones; for a connected pattern the list is empty only at the very
-    first node match.
-    """
-    img = state.node_image
-    if not img:
-        return []
-    vi = next(reversed(img))
-    out = []
-    for u in g1.neighbors(vi):
-        if u in img:
-            out.append((vi, u) if vi < u else (u, vi))
-    out.sort()
-    return out
-
-
 @dataclass(slots=True)
 class _Frame:
     """A state that branches over the candidates of one pattern row or edge."""
@@ -595,8 +594,6 @@ class _Frame:
     phase: str
     item: object
     cands: Iterator[int]
-    edges: list | None = None  # ndshd2 edge frames: the emergent edges ...
-    k: int = 0  # ... and the index of ``item`` in them
     pushed: bool = False  # a match for ``item`` is on the state
 
 
@@ -607,9 +604,11 @@ class _Engine:
     the search depth is not bounded by Python's recursion limit.  They
     differ only in the state that follows a push: ``ndshd1`` stays at the
     node level until every row is matched, then takes pending edges by
-    ``select_pending_edge``; ``ndshd2`` walks the ``new_edges_emergent``
-    list in order, then goes back to the node level.  The caller checks
-    the strategy name: any name but ``ndshd1`` runs ``ndshd2``.
+    ``select_pending_edge``; ``ndshd2`` goes to the edge level after a
+    node match that made edges pending, matches them in ascending order,
+    the least of ``pending`` first, and goes back to the node level once
+    none is left.  The caller checks the strategy name: any name but
+    ``ndshd1`` runs ``ndshd2``.
     """
 
     def __init__(self, state: MatchState, strategy: str, stats: SearchStats):
@@ -629,7 +628,7 @@ class _Engine:
             # unsatisfiable instances in a single scan instead of once per
             # root candidate; it is the same sound per-match refinement.
             s.refine_compatibility()
-            found = self._open(stack, "node", None, 0, s.is_dead)
+            found = self._open(stack, "node", s.is_dead)
             while True:
                 if found is not None:
                     yield found
@@ -647,15 +646,12 @@ class _Engine:
                     continue
                 if frame.phase == "node":
                     s.push_node_match(frame.item, cand)
-                    self._record("node")
-                    emergent = None if self.two_level else new_edges_emergent(s, s.g1)
-                    child = ("edge", emergent, 0) if emergent else ("node", None, 0)
                 else:
                     s.push_path_match(frame.item, cand)
-                    self._record("edge")
-                    child = ("edge", frame.edges, frame.k + 1)
+                self._record(frame.phase)
                 frame.pushed = True
-                found = self._open(stack, *child, s.is_dead_after_push)
+                phase = "edge" if s.pending and not self.two_level else frame.phase
+                found = self._open(stack, phase, s.is_dead_after_push)
         finally:
             while stack:
                 if stack.pop().pushed:
@@ -665,7 +661,7 @@ class _Engine:
             if s.matrix.snapshot() != rows:
                 raise AssertionError("the change log did not restore the root rows")
 
-    def _open(self, stack, phase, edges, k, is_dead) -> Mapping | None:
+    def _open(self, stack, phase, is_dead) -> Mapping | None:
         """Enter the root or the state after a push; stack its frame or return its mapping.
 
         ``is_dead`` is the state's dead check: the full one at the root,
@@ -690,16 +686,12 @@ class _Engine:
                 if not two_level:
                     return None
                 phase = "edge"
-            elif two_level:
-                edge = s.select_pending_edge()
-                if edge is None:
-                    return self._solution()
+            elif s.pending:
+                edge = s.select_pending_edge() if two_level else min(s.pending.values())
                 stack.append(_Frame("edge", edge, iter(s.path_candidates(edge))))
                 return None
-            elif k < len(edges):
-                stack.append(_Frame("edge", edges[k], iter(s.path_candidates(edges[k])),
-                                    edges, k))
-                return None
+            elif two_level:
+                return self._solution()
             else:
                 phase = "node"
             self._enter()

@@ -40,6 +40,14 @@ class TestDetermine:
         rc = main(["determine", PATTERN, DATA, "--l", "3", "--h", "2"])
         assert rc == 2
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-3"])
+    def test_bad_length_cap_is_exit_two(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("HOMEOMATCH_MAX_H", value)
+        rc = main(["determine", PATTERN, DATA, "--l", "2", "--h", "2"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: HOMEOMATCH_MAX_H must be an integer >= 1, not {value!r}\n")
+
     def test_stats_json(self, tmp_path, capsys):
         stats = tmp_path / "stats.json"
         rc = main(["determine", PATTERN, DATA, "--l", "2", "--h", "2",

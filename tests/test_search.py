@@ -22,7 +22,6 @@ from homeomatch import (
     initial_compatible_matrix,
     ndshd1,
     ndshd2,
-    new_edges_emergent,
     random_labeled_graph,
     verify_mapping,
 )
@@ -36,7 +35,7 @@ EXPECTED_PATHS = {(1, 2): (2, 1, 8), (1, 3): (2, 9, 6), (1, 4): (2, 3, 4),
 def full_snapshot(state):
     return (state.matrix.snapshot(), state.store.snapshot(),
             list(state.node_image.items()), list(state.path_of_edge.items()),
-            dict(state._dirty))
+            dict(state._dirty), dict(state.pending))
 
 
 class TestInitialCompatibleMatrix:
@@ -214,19 +213,24 @@ class TestRefinement:
             assert not (cleared & used), seed
 
 
-class TestNewEdgesEmergent:
-    def test_first_match_of_connected_pattern_is_empty(self, worked_pattern, worked_data):
+class TestPending:
+    def test_first_match_of_connected_pattern_makes_nothing_pending(
+            self, worked_pattern, worked_data):
         s = MatchState.create(worked_pattern, worked_data, 2, 2)
         s.push_node_match(1, 2)
-        assert new_edges_emergent(s, worked_pattern) == []
+        assert s.pending == {}
 
-    def test_second_match_completes_one_edge(self, worked_pattern, worked_data):
+    def test_second_match_makes_one_edge_pending(self, worked_pattern, worked_data):
         s = MatchState.create(worked_pattern, worked_data, 2, 2)
         s.push_node_match(1, 2)
         s.push_node_match(2, 8)
-        assert new_edges_emergent(s, worked_pattern) == [(1, 2)]
+        assert s.pending == {(2, 8): (1, 2)}
+        s.push_path_match((1, 2), s.path_candidates((1, 2))[0])
+        assert s.pending == {}
+        s.pop()
+        assert s.pending == {(2, 8): (1, 2)}
 
-    def test_last_vertex_of_k4_completes_three_edges(self):
+    def test_every_edge_of_k4_is_pending_under_its_image_pair(self):
         k4 = LabeledGraph(4, {1: "a", 2: "b", 3: "c", 4: "d"},
                           [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)])
         s = MatchState.create(k4, k4, 1, 1)
@@ -234,7 +238,9 @@ class TestNewEdgesEmergent:
         s.push_node_match(2, 2)
         s.push_node_match(3, 3)
         s.push_node_match(4, 4)
-        assert new_edges_emergent(s, k4) == [(1, 4), (2, 4), (3, 4)]
+        assert s.pending == {e: e for e in k4.edges}
+        s.pop()
+        assert s.pending == {(1, 2): (1, 2), (1, 3): (1, 3), (2, 3): (2, 3)}
 
 
 class TestDetermination:
@@ -923,9 +929,10 @@ def test_pruning_keeps_candidates_valid(instance, config):
     but a committed one has a committed inner vertex inside it, no matched
     image and no unmatched row entry is a committed inner vertex, and every
     path candidate of a pending edge has no taken vertex inside it and no
-    committed inner vertex anywhere on it.  Every matrix row is a frozenset,
-    a push never adds a matrix cell, and a pushed path joins the images of
-    its edge's ends."""
+    committed inner vertex anywhere on it.  The pending map holds exactly
+    the edges with matched ends and no committed path, keyed by their image
+    pairs.  Every matrix row is a frozenset, a push never adds a matrix
+    cell, and a pushed path joins the images of its edge's ends."""
     g1, g2, l, h = instance
     real_node, real_path, real_pop = (MatchState.push_node_match,
                                       MatchState.push_path_match, MatchState.pop)
@@ -947,8 +954,12 @@ def test_pruning_keeps_candidates_valid(instance, config):
         for x in blocked:
             assert all(p in committed or not store.is_alive(p) for p in index[x]), x
         assert not images & blocked
+        img, committed_edges = state.node_image, state.path_of_edge
+        assert state.pending == {
+            (min(img[a], img[b]), max(img[a], img[b])): (a, b) for a, b in g1.edges
+            if a in img and b in img and (a, b) not in committed_edges}
         taken = images | blocked
-        for edge in state.pending_edges():
+        for edge in state.pending.values():
             for pid in state.path_candidates(edge):
                 assert not taken & set(store.inner(pid)), (edge, pid)
                 assert not blocked & set(store.vertices(pid)), (edge, pid)
