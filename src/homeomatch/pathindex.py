@@ -55,6 +55,9 @@ def length_cap() -> int:
 
 
 def check_length_window(l: int, h: int):
+    for name, value in (("l", l), ("h", h)):
+        if type(value) is not int:
+            raise ValueError(f"path length {name} must be an int, not {value!r}")
     if l < 1:
         raise ValueError("minimum path length l must be >= 1")
     if h < l:

@@ -47,19 +47,18 @@ image, a path match the path's inner vertices.  Both apply one rule:
 Candidates are therefore read straight from the matrix rows and the
 store's alive paths.
 
-Backtracking restores state exactly, and a push or pop costs what it
-changes, not the pattern's size.  Matrix rows are immutable, so a change
-binds a new row and logs the old one; a pop rebinds only the rows its
-push logged, and a finished search unwinds the log to its length at the
-root, which also undoes the root refinement.  The search snapshots the
-rows only to check that the unwinding gave back its root's rows.
-The path store's alive flags, counters and reachability sets are rolled
-back through undo tokens in reverse order.  Refinement re-checks only
-the cells that something changed since they were last checked; which
-cells those are is part of the state, saved by a push and put back by
-its pop (trailing), so nothing of a search outlives it.  The dead check
-after a push looks only at what the push changed.  A search owns its
-state and is single-threaded; the input graphs are never modified.
+Backtracking restores state exactly.  Refinement re-checks only the
+cells that something changed since they were last checked, and which
+cells those are (the dirty map) is part of the state.  Matrix rows are
+immutable, so a change binds a new row.  A push saves the dirty map and
+the list of row references, and its pop puts both back; a finished
+search puts back its root's, which also undoes the root refinement, so
+nothing of a search outlives it.  The path store's alive flags, counters
+and reachability sets are rolled back through undo tokens in reverse
+order.  Beyond the n1 row references it saves, a push costs what it
+changes, not the pattern's size, and the dead check after a push looks
+only at what the push changed.  A search owns its state and is
+single-threaded; the input graphs are never modified.
 """
 
 from __future__ import annotations
@@ -180,10 +179,9 @@ class CompatibleMatrix:
 
     A row is never mutated: a change binds a new frozenset to ``rows[i]``,
     so a snapshot is the list of row references and shares every row
-    with the live matrix until one is rebound.  A search state logs each
-    rebinding with the row it replaced, so a pop restores only the rows
-    its push changed.  A search snapshots the rows at its root only to
-    check that its last unwinding gave them back.
+    with the live matrix until one is rebound.  A search state saves a
+    snapshot with each push and restores it on the pop, and a search
+    restores its root's at its end.
     """
 
     __slots__ = ("rows",)
@@ -251,11 +249,11 @@ class MatchState:
     path match deletes its edge's entry.  A pop reverses its push from
     the popped match alone, so the map needs no trail entry.
 
-    Every row rebinding is logged as ``(row, old row)``, and a pop
-    rebinds, newest first, only the rows its push logged.  The rows of
-    the matrix the state was created with are grouped by content; a
-    taken vertex, or an end whose alive paths changed, is looked up only
-    in the groups whose initial row holds it.
+    Each push saves the matrix rows, a list of n1 references, in its
+    trail entry, and its pop restores them.  The rows of the matrix the
+    state was created with are grouped by content; a taken vertex, or an
+    end whose alive paths changed, is looked up only in the groups whose
+    initial row holds it.
 
     Refinement scans only dirty rows: the map ``_dirty`` takes each
     unmatched row that needs a scan to its pending cells, the cells to
@@ -278,8 +276,8 @@ class MatchState:
         self.path_of_edge: dict[tuple[int, int], int] = {}
         # image pair (a, b), a < b -> the pending pattern edge between its preimages
         self.pending: dict[tuple[int, int], tuple[int, int]] = {}
-        self._trail: list = []  # (kind, change-log length, undo token, dirty map) per push
-        self._log: list[tuple[int, frozenset[int]]] = []  # (row, old row) per rebinding
+        self._trail: list = []  # (kind, undo token, dirty map, rows) per push
+        self._emptied = False  # the newest push bound an empty row
         # unmatched row -> the cells its next scan re-checks (None: every cell)
         self._dirty: dict[int, frozenset[int] | None] = dict.fromkeys(g1.vertices)
         # The rows of the matrix the state starts from, grouped by content
@@ -337,15 +335,16 @@ class MatchState:
         self._take(store.inner(pid), hints=edge)
 
     def _save(self, kind: str, token):
-        """Open a trail entry for a push; the push edits a copy of the dirty map."""
-        self._trail.append((kind, len(self._log), token, self._dirty))
+        """Open a trail entry for a push: the dirty map, edited as a copy, and the rows."""
+        self._trail.append((kind, token, self._dirty, self.matrix.snapshot()))
         self._dirty = self._dirty.copy()
+        self._emptied = False
 
     def _rebind(self, i: int, row: frozenset[int]):
-        """Log and bind row i; every cell of its unmatched neighbours turns pending."""
-        rows = self.matrix.rows
-        self._log.append((i, rows[i]))
-        rows[i] = row
+        """Bind row i, noting an empty one; its unmatched neighbours' cells turn pending."""
+        self.matrix.rows[i] = row
+        if not row:
+            self._emptied = True
         img, dirty = self.node_image, self._dirty
         for u in self.g1._adj[i]:
             if u not in img:
@@ -379,7 +378,7 @@ class MatchState:
 
     def pop(self):
         """Undo the most recent push exactly, the dirty map and pending edges included."""
-        kind, mark, token, self._dirty = self._trail.pop()
+        kind, token, self._dirty, rows = self._trail.pop()
         store, img, pending = self.store, self.node_image, self.pending
         store.undo(token)
         if kind == "node":
@@ -392,14 +391,7 @@ class MatchState:
             edge, pid = self.path_of_edge.popitem()
             verts = store.vertices(pid)
             pending[verts[0], verts[-1]] = edge
-        self._unwind(mark)
-
-    def _unwind(self, mark: int):
-        """Rebind the rows logged after the first ``mark`` entries, newest first."""
-        rows, log = self.matrix.rows, self._log
-        while len(log) > mark:
-            i, old = log.pop()
-            rows[i] = old
+        self.matrix.restore(rows)
 
     # state predicates ---------------------------------------------------
 
@@ -434,18 +426,14 @@ class MatchState:
 
         A live state has no empty unmatched row and no pending edge
         without an alive path, so only what the push changed can kill
-        it: a row it rebound, or a pending edge whose image pair its
-        kills left without an alive path.  An edge the push made pending
-        needs no check.  Refinement kept the pushed cell only if each matched
-        neighbour's image was reachable from it, and a node match kills
-        no path ending at its own image.
+        it: an empty row it bound (``_rebind`` notes one), or a pending
+        edge whose image pair its kills left without an alive path.  An
+        edge the push made pending needs no check.  Refinement kept the
+        pushed cell only if each matched neighbour's image was reachable
+        from it, and a node match kills no path ending at its own image.
         """
-        rows, img = self.matrix.rows, self.node_image
-        for i, _old in self._log[self._trail[-1][1]:]:
-            if not rows[i] and i not in img:
-                return True
         pending = self.pending
-        return any(pair in pending for pair in self.store.zeroed_pairs)
+        return self._emptied or any(pair in pending for pair in self.store.zeroed_pairs)
 
     # candidate generation -----------------------------------------------
 
@@ -620,8 +608,9 @@ class _Engine:
     def solutions(self):
         """Generator of complete mappings; closing it restores the state."""
         s = self.state
-        # Root refinement edits the dirty map in place, so the root keeps a copy.
-        root, dirty, rows = len(s._log), s._dirty.copy(), s.matrix.snapshot()
+        # The root saves its rows and dirty map as a push does; root
+        # refinement edits the map in place, so the root keeps a copy.
+        dirty, rows = s._dirty.copy(), s.matrix.snapshot()
         stack: list[_Frame] = []
         try:
             # One refinement pass before the first selection settles most
@@ -656,10 +645,8 @@ class _Engine:
             while stack:
                 if stack.pop().pushed:
                     s.pop()
-            s._unwind(root)
+            s.matrix.restore(rows)
             s._dirty = dirty
-            if s.matrix.snapshot() != rows:
-                raise AssertionError("the change log did not restore the root rows")
 
     def _open(self, stack, phase, is_dead) -> Mapping | None:
         """Enter the root or the state after a push; stack its frame or return its mapping.
@@ -800,9 +787,12 @@ def enumerate_all(g1: LabeledGraph, g2: LabeledGraph, l: int, h: int, *,
 
     Distinctness is by node map plus edge-to-path assignment; the
     search tree branches on disjoint choices, so no duplicates arise.
-    An unknown strategy or an invalid window raises ``ValueError`` at the
-    first ``next``, whatever the limit and the graphs.
+    An unknown strategy, an invalid window or a ``limit`` that is neither
+    None nor an int raises ``ValueError`` at the first ``next``, whatever
+    the graphs.
     """
+    if limit is not None and type(limit) is not int:
+        raise ValueError(f"limit must be an int or None, not {limit!r}")
     if limit is not None and limit <= 0:
         _check_call(strategy, l, h)
         return

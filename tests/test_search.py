@@ -291,6 +291,19 @@ class TestDetermination:
             with pytest.raises(ValueError, match="cap"):
                 fn(worked_pattern, worked_data, 1, 9)
 
+    def test_non_int_window_is_rejected(self):
+        # a 2.5 window once let through a path of length 3, which the
+        # verifier rejects
+        g1 = LabeledGraph(2, {1: "a", 2: "b"}, [(1, 2)])
+        g2 = LabeledGraph(4, {1: "a", 2: "x", 3: "x", 4: "b"}, [(1, 2), (2, 3), (3, 4)])
+        for l, h in ((1, 2.5), (1.0, 3), (True, 3), (1, "3")):
+            for fn in (ndshd1, ndshd2):
+                with pytest.raises(ValueError, match="must be an int"):
+                    fn(g1, g2, l, h)
+            with pytest.raises(ValueError, match="must be an int"):
+                list(enumerate_all(g1, g2, l, h))
+        assert ndshd2(g1, g2, 1, 3) is not None
+
     def test_ascending_order_also_finds_solutions(self, worked_pattern, worked_data):
         cfg = SearchConfig(order="ascending")
         w = ndshd1(worked_pattern, worked_data, 2, 2, config=cfg)
@@ -362,6 +375,16 @@ class TestEnumeration:
         assert len(all_of_them) == 8
         assert len(list(enumerate_all(pattern, data, 1, 1, limit=2))) == 2
         assert list(enumerate_all(pattern, data, 1, 1, limit=0)) == []
+
+    def test_non_int_limit_is_rejected(self):
+        # a star with three witnesses, which a 1.5 limit once let all through
+        pattern = LabeledGraph(2, {1: "c", 2: "a"}, [(1, 2)])
+        data = LabeledGraph(4, {1: "c", 2: "a", 3: "a", 4: "a"}, [(1, 2), (1, 3), (1, 4)])
+        assert len(list(enumerate_all(pattern, data, 1, 1))) == 3
+        for limit in (1.5, 2.0, True, "1"):
+            run = enumerate_all(pattern, data, 1, 1, limit=limit)
+            with pytest.raises(ValueError, match="limit must be an int"):
+                next(run)
 
     def test_arguments_are_checked_before_any_shortcut(self, worked_pattern, worked_data):
         empty = LabeledGraph(0, {}, [])
@@ -716,33 +739,34 @@ def test_one_state_serves_several_searches(instance, config):
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
 @given(instance=_instances(), config=_CONFIGS)
-def test_pop_gives_back_the_dirty_map_its_push_found(instance, config):
-    """Every pop puts back exactly the dirty map that its push found, and a
-    finished or closed search leaves the map that its root found."""
+def test_pop_gives_back_the_dirty_map_and_rows_its_push_found(instance, config):
+    """Every pop puts back exactly the dirty map and the rows that its push
+    found, and a finished or closed search leaves the map and the rows that
+    its root found."""
     g1, g2, l, h = instance
     real_node, real_path, real_pop = (MatchState.push_node_match,
                                       MatchState.push_path_match, MatchState.pop)
-    found = []  # the dirty map each open push found, oldest first
+    found = []  # the dirty map and rows each open push found, oldest first
 
     def recording(real):
         def push(self, item, choice):
-            found.append(copy.copy(self._dirty))
+            found.append((copy.copy(self._dirty), self.matrix.snapshot()))
             real(self, item, choice)
         return push
 
     def checked_pop(self):
         real_pop(self)
-        assert self._dirty == found.pop()
+        assert (self._dirty, self.matrix.snapshot()) == found.pop()
 
     with mock.patch.object(MatchState, "push_node_match", recording(real_node)), \
             mock.patch.object(MatchState, "push_path_match", recording(real_path)), \
             mock.patch.object(MatchState, "pop", checked_pop):
         for strategy, first_only in _SEARCHES:
             state = MatchState.create(g1, g2, l, h, config)
-            root = copy.copy(state._dirty)
+            root = (copy.copy(state._dirty), state.matrix.snapshot())
             _run_engine(state, strategy, first_only)
             assert not found
-            assert state._dirty == root
+            assert (state._dirty, state.matrix.snapshot()) == root
 
 
 def _assert_clean_cells_are_supported(state):
@@ -791,13 +815,12 @@ def test_refinement_rechecks_only_pending_cells(instance, config):
     def checked_refine(self, hints=()):
         store, rows = self.store, self.matrix.rows
         _assert_clean_cells_are_supported(self)
-        before, logged = rows[:], len(self._log)
+        before = rows[:]
         dirty, changed = self._dirty, set(store.changed_ends)
         self._dirty = dict.fromkeys(i for i in g1.vertices if i not in self.node_image)
         real_refine(self, hints)
         expected = rows[:]
         rows[:] = before
-        del self._log[logged:]
         self._dirty, store.changed_ends = dirty, changed
         real_refine(self, hints)
         assert rows == expected
