@@ -11,8 +11,7 @@ An experiment spec is a JSON object:
       "repetitions": 5,
       "seed_base": 1,
       "sweep": {"variable": "n2", "values": [200, 400]},   optional
-      "timeout_s": 60,
-      "order": "mcf"
+      "timeout_s": 60
     }
 
 Only ``name`` is required; a key not shown here is rejected.  The
@@ -68,7 +67,7 @@ __all__ = [
 
 RUN_FIELDS = [
     "experiment", "sweep_variable", "sweep_value", "repetition", "algo",
-    "order", "n1", "m1", "n2", "m2", "labels", "l", "h",
+    "n1", "m1", "n2", "m2", "labels", "l", "h",
     "pattern_seed", "data_seed", "outcome", "setup_s", "search_s",
     "recursion_calls", "max_depth", "mean_backtrack_depth", "states_explored",
 ]
@@ -121,14 +120,12 @@ class ExperimentSpec:
     sweep_variable: str | None = None
     sweep_values: tuple = ()
     timeout_s: float = 60.0
-    order: str = "mcf"
 
     def validate(self):
         if self.algo not in (*STRATEGIES, "both"):
             raise ValueError(f"algo must be ndshd1, ndshd2 or both; got {self.algo!r}")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
-        SearchConfig(order=self.order)  # raises on an unknown order
         if self.sweep_variable is not None or self.sweep_values:
             _check_sweep(self)
         if self.pattern.file is None and self.pattern.labels not in ("unique", "random"):
@@ -273,8 +270,7 @@ def run_experiment(spec: ExperimentSpec):
             pattern_seed, data_seed = 2 * base + 1, 2 * base
             g1, g2 = _instance(psrc, dsrc, pattern_seed, data_seed)
             for algo in spec.algorithms():
-                config = SearchConfig(order=spec.order,
-                                      deadline=time.monotonic() + spec.timeout_s)
+                config = SearchConfig(deadline=time.monotonic() + spec.timeout_s)
                 stats = SearchStats()
                 fn = ndshd1 if algo == "ndshd1" else ndshd2
                 try:
@@ -288,7 +284,6 @@ def run_experiment(spec: ExperimentSpec):
                     "sweep_value": "" if value is None else value,
                     "repetition": rep,
                     "algo": algo,
-                    "order": spec.order,
                     "n1": g1.n,
                     "m1": psrc.m1 if psrc.file is None else g1.m,
                     "n2": dsrc.n2 if dsrc.file is None else g2.n,

@@ -25,7 +25,7 @@ from .bench import ExperimentSpec, format_summary_table, run_experiment, write_r
 from .graph import GraphFormatError, load_graph, plant_subdivision, random_labeled_graph, save_graph
 from .mapping import Mapping
 from .oracle import brute_force_solve, verify_mapping
-from .search import ORDERS, STRATEGIES, SearchConfig, SearchStats, enumerate_all, ndshd1, ndshd2
+from .search import STRATEGIES, SearchStats, enumerate_all, ndshd1, ndshd2
 
 EXIT_TRUE = 0
 EXIT_FALSE = 1
@@ -47,8 +47,6 @@ def _add_window_args(p):
 def _add_search_args(p):
     p.add_argument("--algo", choices=STRATEGIES, default="ndshd2",
                    help="search strategy (default ndshd2)")
-    p.add_argument("--order", choices=ORDERS, default="mcf",
-                   help="candidate ordering (default mcf, most constrained first)")
     p.add_argument("--stats", metavar="FILE", help="write search statistics as JSON")
     p.add_argument("--trace", action="store_true",
                    help="record a per-call recursion trace (requires --stats)")
@@ -56,16 +54,12 @@ def _add_search_args(p):
                    help="omit wall-clock fields from stats/CSV for byte-stable output")
 
 
-def _search_config(args) -> SearchConfig:
-    return SearchConfig(order=args.order)
-
-
 def _search_stats(args) -> SearchStats:
     return SearchStats(trace=[] if args.trace else None)
 
 
 def _write_stats(args, stats: SearchStats):
-    payload = {"algo": args.algo, "order": args.order, "l": args.l, "h": args.h}
+    payload = {"algo": args.algo, "l": args.l, "h": args.h}
     payload.update(stats.as_dict(include_timing=not args.no_timing))
     with open(args.stats, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -77,7 +71,7 @@ def cmd_determine(args) -> int:
     g2 = load_graph(args.data)
     fn = ndshd1 if args.algo == "ndshd1" else ndshd2
     stats = _search_stats(args)
-    mapping = fn(g1, g2, args.l, args.h, config=_search_config(args), stats=stats)
+    mapping = fn(g1, g2, args.l, args.h, stats=stats)
     print("true" if mapping is not None else "false")
     if mapping is not None and args.witness:
         sys.stdout.write(mapping.to_text())
@@ -92,8 +86,7 @@ def cmd_enumerate(args) -> int:
     stats = _search_stats(args)
     count = 0
     for mapping in enumerate_all(g1, g2, args.l, args.h, limit=args.limit,
-                                 strategy=args.algo, config=_search_config(args),
-                                 stats=stats):
+                                 strategy=args.algo, stats=stats):
         if count:
             print()
         sys.stdout.write(mapping.to_text())

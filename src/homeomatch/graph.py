@@ -26,6 +26,7 @@ __all__ = [
     "serialize_graph",
     "load_graph",
     "save_graph",
+    "check_window",
     "check_random_graph_args",
     "random_labeled_graph",
     "plant_subdivision",
@@ -326,6 +327,17 @@ def random_labeled_graph(n: int, avg_degree: float, label_count: int,
     return LabeledGraph(n, labels, edges)
 
 
+def check_window(l: int, h: int):
+    """Raise ValueError unless l and h are ints, not bools, with 1 <= l <= h."""
+    for name, value in (("l", l), ("h", h)):
+        if type(value) is not int:
+            raise ValueError(f"path length {name} must be an int, not {value!r}")
+    if l < 1:
+        raise ValueError("minimum path length l must be >= 1")
+    if h < l:
+        raise ValueError("maximum path length h must be >= l")
+
+
 def plant_subdivision(pattern: LabeledGraph, l: int, h: int, padding: int = 0,
                       seed: int = 0, return_witness: bool = False):
     """Data graph guaranteed to contain the pattern as an (l, h)-topological minor.
@@ -338,8 +350,7 @@ def plant_subdivision(pattern: LabeledGraph, l: int, h: int, padding: int = 0,
     planted witness.  With ``return_witness=True`` the planted mapping
     (identity on pattern vertices) is returned alongside the graph.
     """
-    if l < 1 or h < l:
-        raise ValueError("need 1 <= l <= h")
+    check_window(l, h)
     if padding < 0:
         raise ValueError("padding must be >= 0")
     rng = random.Random(seed)

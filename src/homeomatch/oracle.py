@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import LabeledGraph
+from .graph import LabeledGraph, check_window
 from .mapping import Mapping
 
 __all__ = [
@@ -150,8 +150,7 @@ def brute_force_solve(g1: LabeledGraph, g2: LabeledGraph, l: int, h: int) -> lis
     same set as filtering the full cross product.  Refuses instances
     beyond the size guard.
     """
-    if l < 1 or h < l:
-        raise ValueError("need 1 <= l <= h")
+    check_window(l, h)
     if g1.n > MAX_PATTERN_VERTICES or g2.n > MAX_DATA_VERTICES or h > MAX_PATH_LENGTH:
         raise ValueError(
             "instance exceeds the brute-force guard "

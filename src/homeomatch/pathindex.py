@@ -27,6 +27,8 @@ import time
 from collections import defaultdict
 from dataclasses import dataclass
 
+from .graph import check_window
+
 __all__ = [
     "SearchTimeout",
     "DEFAULT_MAX_H",
@@ -55,13 +57,8 @@ def length_cap() -> int:
 
 
 def check_length_window(l: int, h: int):
-    for name, value in (("l", l), ("h", h)):
-        if type(value) is not int:
-            raise ValueError(f"path length {name} must be an int, not {value!r}")
-    if l < 1:
-        raise ValueError("minimum path length l must be >= 1")
-    if h < l:
-        raise ValueError("maximum path length h must be >= l")
+    """``check_window`` plus the configured cap on h that the solvers apply."""
+    check_window(l, h)
     cap = length_cap()
     if h > cap:
         raise ValueError(
@@ -107,11 +104,11 @@ class PathStore:
     the store's life.
     """
 
-    __slots__ = ("l", "h", "candidates", "_cand_set", "_verts", "_alive",
+    __slots__ = ("candidates", "_cand_set", "_verts", "_alive",
                  "by_pair", "_by_inner", "_by_end", "_pair_alive",
                  "_reach", "changed_ends", "zeroed_pairs", "witness_tries")
 
-    def __init__(self, l: int, h: int, candidates, verts: list[tuple[int, ...]],
+    def __init__(self, candidates, verts: list[tuple[int, ...]],
                  by_pair: dict[tuple[int, int], list[int]]):
         """Index the enumerated paths in one pass; every path starts alive.
 
@@ -119,8 +116,6 @@ class PathStore:
         ``by_pair`` maps each end pair to its path ids, ascending.  Ids are
         visited in ascending order, so every per-vertex list is ascending.
         """
-        self.l = l
-        self.h = h
         self.candidates = tuple(sorted(candidates))
         self._cand_set = frozenset(self.candidates)
         self._verts = verts
@@ -383,4 +378,4 @@ def enumerate_paths(g2, candidates, l: int, h: int,
             else:
                 stack.pop()
                 on_path.remove(path.pop())
-    return PathStore(l, h, sources, verts, by_pair)
+    return PathStore(sources, verts, by_pair)

@@ -45,7 +45,9 @@ image, a path match the path's inner vertices.  Both apply one rule:
   the cell's incident pattern edges.
 
 Candidates are therefore read straight from the matrix rows and the
-store's alive paths.
+store's alive paths, and are tried in ascending order.  The node level
+matches the unmatched row with the fewest candidates next (most
+constrained first, ties by ascending id).
 
 Backtracking restores state exactly.  Refinement re-checks only the
 cells that something changed since they were last checked, and which
@@ -92,19 +94,11 @@ __all__ = [
 ]
 
 STRATEGIES = ("ndshd1", "ndshd2")
-ORDERS = ("mcf", "ascending")
 
 
 @dataclass
 class SearchConfig:
-    """Tie-breaking, the witness cap and the deadline of one search.
-
-    ``order`` selects the next pattern row / pending edge: ``mcf`` takes
-    the one with the fewest candidates (ties by ascending id), while
-    ``ascending`` uses plain id order.  Candidate data vertices and
-    candidate paths are always tried in ascending order.  Every pruning
-    rule always runs: the search reads its candidates straight from the
-    pruned matrix and store, so the rules are what keep it sound.
+    """The witness cap and the deadline of one search.
 
     ``witness_cap`` bounds the work refinement spends on one cell: it
     counts path attempts of the witness pick, one per path tried, in
@@ -113,17 +107,15 @@ class SearchConfig:
     past the cap is kept, so the cap never changes the solution set.
     """
 
-    order: str = "mcf"
     witness_cap: int = 10_000
     deadline: float | None = None
 
     def __post_init__(self):
-        if self.order not in ORDERS:
-            raise ValueError(f"unknown order {self.order!r}")
         if type(self.witness_cap) is not int or self.witness_cap < 0:
             raise ValueError(f"witness_cap must be an int >= 0, not {self.witness_cap!r}")
-        if self.deadline is not None and math.isnan(self.deadline):
-            raise ValueError("deadline must not be NaN")
+        d = self.deadline
+        if d is not None and (type(d) not in (int, float) or math.isnan(d)):
+            raise ValueError(f"deadline must be a number other than NaN, or None, not {d!r}")
 
 
 @dataclass
@@ -438,28 +430,25 @@ class MatchState:
     # candidate generation -----------------------------------------------
 
     def select_row(self) -> int | None:
+        """The unmatched row with the fewest candidates, ties by ascending id, or None."""
         img = self.node_image
         unmatched = [i for i in range(1, self.g1.n + 1) if i not in img]
         if not unmatched:
             return None
-        if self.config.order == "mcf":
-            sizes = map(len, map(self.matrix.rows.__getitem__, unmatched))
-            return min(zip(sizes, unmatched))[1]
-        return unmatched[0]
+        sizes = map(len, map(self.matrix.rows.__getitem__, unmatched))
+        return min(zip(sizes, unmatched))[1]
 
     def select_pending_edge(self) -> tuple[int, int] | None:
         """The pending edge to match next, or None when no edge is pending.
 
-        Under ``mcf`` the edge with the fewest alive paths between its
-        images, ties by ascending edge; under ``ascending`` the least edge.
+        The edge with the fewest alive paths between its images, ties by
+        ascending edge.
         """
         pending = self.pending
         if not pending:
             return None
-        if self.config.order == "mcf":
-            count = self.store.pair_count
-            return min((count(a, b), e) for (a, b), e in pending.items())[1]
-        return min(pending.values())
+        count = self.store.pair_count
+        return min((count(a, b), e) for (a, b), e in pending.items())[1]
 
     def node_candidates(self, vi: int) -> list[int]:
         return sorted(self.matrix.rows[vi])

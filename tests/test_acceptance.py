@@ -245,7 +245,7 @@ def test_acceptance_8_determinism(tmp_path, capsys):
     for run in ("a", "b"):
         stats_file = tmp_path / f"stats_{run}.json"
         rc = main(["determine", PATTERN, DATA, "--l", "1", "--h", "3",
-                   "--algo", "ndshd1", "--order", "mcf", "--witness",
+                   "--algo", "ndshd1", "--witness",
                    "--stats", str(stats_file), "--trace", "--no-timing"])
         assert rc == 0
         stdout = capsys.readouterr().out

@@ -104,7 +104,7 @@ class TestSpec:
         dict(repetitions=0),
         dict(l=0),
         dict(h=0),
-        dict(order="random"),
+        dict(pattern=PatternSource(n1=3, m1=2, labels="distinct")),
         dict(timeout_s=0),
         dict(sweep_variable="n3", sweep_values=(1,)),
         dict(sweep_variable="n2", sweep_values=()),
@@ -274,12 +274,14 @@ class TestBenchCommand:
         assert out.read_bytes() == (DATA_DIR / f"sweep_{variable}.csv").read_bytes()
 
     def test_cli_bench_unknown_spec_key_is_exit_two(self, tmp_path, capsys):
-        spec = tmp_path / "spec.json"
-        spec.write_text(json.dumps({"name": "x", "repetition": 3}))
-        out = tmp_path / "o.csv"
-        assert main(["bench", str(spec), "--out", str(out)]) == 2
-        assert "unknown key(s) in spec: repetition" in capsys.readouterr().err
-        assert not out.exists()
+        # specs written for older versions may still carry "order"
+        for key, value in (("repetition", 3), ("order", "mcf")):
+            spec = tmp_path / "spec.json"
+            spec.write_text(json.dumps({"name": "x", key: value}))
+            out = tmp_path / "o.csv"
+            assert main(["bench", str(spec), "--out", str(out)]) == 2
+            assert f"unknown key(s) in spec: {key}\n" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_cli_bench_non_string_file_is_exit_two(self, tmp_path, capsys, monkeypatch):
         def no_loading(*args, **kwargs):

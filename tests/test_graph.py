@@ -180,7 +180,7 @@ class TestPlantSubdivision:
         pattern = LabeledGraph(3, {1: "a", 2: "a", 3: "b"}, [(1, 2), (2, 3)])
         assert plant_subdivision(pattern, 1, 3, 10, 9) == plant_subdivision(pattern, 1, 3, 10, 9)
 
-    def test_parameter_validation(self):
+    def test_parameter_validation(self, monkeypatch):
         k2 = LabeledGraph(2, {1: "a", 2: "b"}, [(1, 2)])
         with pytest.raises(ValueError):
             plant_subdivision(k2, 0, 1)
@@ -188,3 +188,9 @@ class TestPlantSubdivision:
             plant_subdivision(k2, 2, 1)
         with pytest.raises(ValueError):
             plant_subdivision(k2, 1, 1, padding=-1)
+        for l, h in ((True, 2), (1, 2.5), (1.0, 2), (1, "2")):
+            with pytest.raises(ValueError, match="must be an int"):
+                plant_subdivision(k2, l, h)
+        # the solvers' h cap does not apply to the generator
+        monkeypatch.setenv("HOMEOMATCH_MAX_H", "1")
+        assert plant_subdivision(k2, 3, 3).n == 4

@@ -304,18 +304,12 @@ class TestDetermination:
                 list(enumerate_all(g1, g2, l, h))
         assert ndshd2(g1, g2, 1, 3) is not None
 
-    def test_ascending_order_also_finds_solutions(self, worked_pattern, worked_data):
-        cfg = SearchConfig(order="ascending")
-        w = ndshd1(worked_pattern, worked_data, 2, 2, config=cfg)
-        assert w is not None
-        assert verify_mapping(worked_pattern, worked_data, 2, 2, w)
-
     @pytest.mark.parametrize("field, value", [
-        ("order", "random"), ("witness_cap", -1), ("witness_cap", 2.5),
-        ("witness_cap", True), ("deadline", float("nan"))])
+        ("witness_cap", -1), ("witness_cap", 2.5), ("witness_cap", True),
+        ("deadline", float("nan")), ("deadline", "x"), ("deadline", True)])
     def test_config_rejects_invalid_fields(self, field, value):
         # A negative cap would turn off the witness pick, a NaN deadline
-        # would never fire.
+        # would never fire, and a non-number one fails only mid-search.
         with pytest.raises(ValueError, match=field):
             SearchConfig(**{field: value})
         assert SearchConfig(witness_cap=0, deadline=0.0).witness_cap == 0
@@ -652,11 +646,7 @@ def _instances(draw):
 
 
 def _configs(caps):
-    return st.builds(
-        SearchConfig,
-        order=st.sampled_from(["mcf", "ascending"]),
-        witness_cap=st.sampled_from(caps),
-    )
+    return st.builds(SearchConfig, witness_cap=st.sampled_from(caps))
 
 
 _CONFIGS = _configs([0, 1, SearchConfig.witness_cap])
@@ -789,20 +779,21 @@ def _assert_clean_cells_are_supported(state):
             assert store.has_witnesses(vj, images, neighbor_rows, cap), (i, vj)
 
 
-# Here ``ndshd2``'s path matches strip the last candidates from unmatched
-# rows, and a row after such a row in visit order has cells to clear.  A pass
-# that does not visit the emptied row clears them; a full pass stops first.
+# Here a match strips the last candidates from an unmatched row, and a row
+# after it in visit order has cells to clear.  A pass that does not visit
+# the emptied row clears them; a full pass stops first.
 _STRIPPED_EMPTY = (
-    LabeledGraph(4, {1: "L1", 2: "L1", 3: "L1", 4: "L2"}, [(1, 2), (1, 3), (2, 4)]),
-    LabeledGraph(7, {1: "L0", 2: "L1", 3: "L0", 4: "L2", 5: "L2", 6: "L1", 7: "L1"},
-                 [(1, 2), (1, 3), (1, 6), (1, 7), (2, 3), (2, 4), (2, 5), (2, 7), (3, 5),
-                  (4, 7), (6, 7)]),
+    LabeledGraph(4, {1: "L0", 2: "L0", 3: "L1", 4: "L1"}, [(1, 3), (1, 4), (2, 4)]),
+    LabeledGraph(9, {1: "L1", 2: "L1", 3: "L0", 4: "L0", 5: "L1", 6: "L0", 7: "L0",
+                     8: "L0", 9: "L0"},
+                 [(1, 2), (1, 3), (1, 6), (1, 9), (2, 3), (2, 5), (3, 4), (3, 5), (3, 8),
+                  (4, 5), (4, 8), (5, 8), (7, 8)]),
     2, 4)
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
 @given(instance=_instances(), config=_CONFIGS)
-@example(instance=_STRIPPED_EMPTY, config=SearchConfig(order="ascending"))
+@example(instance=_STRIPPED_EMPTY, config=SearchConfig())
 def test_refinement_rechecks_only_pending_cells(instance, config):
     """At every refinement of a search, every cell it would not re-check is
     supported, and the pass that re-checks only the pending cells clears

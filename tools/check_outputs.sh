@@ -8,9 +8,9 @@
 #   - for each experiments/*.json, the runs CSV, the summary CSV and the
 #     standard output of `homeomatch bench SPEC --no-timing`;
 #   - on the worked example (tests/data/worked_*.graph) at (l, h) = (2,2),
-#     (3,3) and (1,3), with both algorithms and both orders, the standard
-#     output, exit code and `--stats --trace --no-timing` file of
-#     `determine --witness` and of `enumerate`.
+#     (3,3) and (1,3), once per algorithm, the standard output, exit code
+#     and `--stats --trace --no-timing` file of `determine --witness` and
+#     of `enumerate`.
 set -euo pipefail
 
 if [ $# -ne 1 ]; then
@@ -34,17 +34,15 @@ data="$root/tests/data/worked_data.graph"
 for window in "2 2" "3 3" "1 3"; do
     set -- $window
     for algo in ndshd1 ndshd2; do
-        for order in mcf ascending; do
-            for cmd in determine enumerate; do
-                base="$out/worked_${cmd}_l$1_h$2_${algo}_${order}"
-                extra=()
-                if [ "$cmd" = determine ]; then extra=(--witness); fi
-                rc=0
-                hm "$cmd" "$pattern" "$data" --l "$1" --h "$2" --algo "$algo" \
-                    --order "$order" --stats "$base.stats.json" --trace --no-timing \
-                    "${extra[@]}" > "$base.stdout" || rc=$?
-                echo "$rc" > "$base.exit"
-            done
+        for cmd in determine enumerate; do
+            base="$out/worked_${cmd}_l$1_h$2_${algo}"
+            extra=()
+            if [ "$cmd" = determine ]; then extra=(--witness); fi
+            rc=0
+            hm "$cmd" "$pattern" "$data" --l "$1" --h "$2" --algo "$algo" \
+                --stats "$base.stats.json" --trace --no-timing \
+                "${extra[@]}" > "$base.stdout" || rc=$?
+            echo "$rc" > "$base.exit"
         done
     done
 done
