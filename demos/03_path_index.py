@@ -8,9 +8,9 @@ paths and rolls back through undo tokens while backtracking.
 """
 
 from homeomatch import (
+    CompatibleMatrix,
     candidate_branch_nodes,
     enumerate_paths,
-    initial_compatible_matrix,
     parse_graph,
 )
 
@@ -22,7 +22,7 @@ data = parse_graph(
     "e 1 2\ne 1 8\ne 2 3\ne 2 9\ne 3 4\ne 4 5\ne 5 6\ne 6 7\ne 6 9\ne 7 8\ne 8 9\n")
 
 print("--- candidate branch nodes ---")
-m0 = initial_compatible_matrix(pattern, data)
+m0 = CompatibleMatrix.initial(pattern, data)
 for i in pattern.vertices:
     print(f"pattern vertex {i} (label {pattern.label(i)}) may map to", sorted(m0.rows[i]))
 cands = candidate_branch_nodes(m0)

@@ -33,7 +33,6 @@ from .search import (
     SearchStats,
     SearchTimeout,
     enumerate_all,
-    initial_compatible_matrix,
     ndshd1,
     ndshd2,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "SearchStats",
     "SearchTimeout",
     "enumerate_all",
-    "initial_compatible_matrix",
     "ndshd1",
     "ndshd2",
     "VerificationResult",

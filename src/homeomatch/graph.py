@@ -53,8 +53,8 @@ class LabeledGraph:
     __slots__ = ("n", "edges", "_labels", "_adj")
 
     def __init__(self, n: int, labels, edges):
-        if n < 0:
-            raise ValueError("vertex count must be >= 0")
+        if type(n) is not int or n < 0:
+            raise ValueError(f"vertex count must be an int >= 0, not {n!r}")
         self.n = n
         lab = {}
         for v, token in dict(labels).items():
@@ -227,10 +227,10 @@ def save_graph(path, g: LabeledGraph):
 
 def check_random_graph_args(n: int, avg_degree: float, label_count: int):
     """Raise ValueError unless ``random_labeled_graph`` accepts these arguments."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if label_count < 1:
-        raise ValueError("label_count must be >= 1")
+    if type(n) is not int or n < 1:
+        raise ValueError(f"n must be an int >= 1, not {n!r}")
+    if type(label_count) is not int or label_count < 1:
+        raise ValueError(f"label_count must be an int >= 1, not {label_count!r}")
     if not 0 <= avg_degree < n:
         raise ValueError(f"avg_degree must lie in [0, n); got {avg_degree} for n={n}")
 
@@ -351,8 +351,8 @@ def plant_subdivision(pattern: LabeledGraph, l: int, h: int, padding: int = 0,
     (identity on pattern vertices) is returned alongside the graph.
     """
     check_window(l, h)
-    if padding < 0:
-        raise ValueError("padding must be >= 0")
+    if type(padding) is not int or padding < 0:
+        raise ValueError(f"padding must be an int >= 0, not {padding!r}")
     rng = random.Random(seed)
     labels = {v: pattern.label(v) for v in pattern.vertices}
     pool = sorted(set(labels.values()))

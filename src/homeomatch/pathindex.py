@@ -10,9 +10,9 @@ matrix consulted by the search), the reachability sets and the
 per-end and per-inner-vertex lists.  Removal batches flip alive flags
 and return tokens; undoing tokens in reverse order restores the alive
 flags, counters and reachability sets exactly, which is what
-backtracking relies on.  Two fields tell a reader what the removal
-batches changed without a scan: the set of ends whose alive paths
-changed, and the end pairs the latest batch left without an alive path.
+backtracking relies on.  A token also tells its caller what the batch
+changed without a scan: the ends whose alive paths changed, and the end
+pairs it left without an alive path.
 
 A store belongs to exactly one search and is never mutated
 concurrently.  The maximum usable ``h`` is capped (default 6, env
@@ -67,9 +67,15 @@ def check_length_window(l: int, h: int):
 
 @dataclass(frozen=True)
 class UndoToken:
-    """Opaque record of one removal batch; undo revives exactly these paths."""
+    """Record of one removal batch; undo revives exactly the ``killed`` paths.
+
+    ``ends`` holds every end of a killed path, and ``zeroed`` the end
+    pairs whose alive count the batch took to zero.
+    """
 
     killed: tuple
+    ends: set
+    zeroed: list
 
 
 def candidate_branch_nodes(matrix) -> tuple:
@@ -78,7 +84,10 @@ def candidate_branch_nodes(matrix) -> tuple:
     Only these vertices can be images of pattern vertices, so only paths
     ending at them need to be enumerated; returned in ascending order.
     """
-    return matrix.nonzero_columns()
+    cols: set[int] = set()
+    for r in matrix.rows[1:]:
+        cols.update(r)
+    return tuple(sorted(cols))
 
 
 class PathStore:
@@ -93,20 +102,17 @@ class PathStore:
     Paths that merely end at a taken vertex stay alive: those ending at a
     matched image are the candidates for its edges, and the search never
     reads those ending at a committed inner vertex, which is never an
-    image, a row entry or a refined cell.
+    image, a row entry or a refined cell.  What a batch changed goes
+    back to its caller in its ``UndoToken``; the store keeps no record
+    of it.
 
-    Each removal batch adds to the set ``changed_ends`` every end of a
-    path it kills; the reader that consumes the set empties it.
-    ``zeroed_pairs`` lists the end pairs whose alive count the latest
-    removal batch took to zero.  ``undo`` touches neither: a caller that
-    undoes a batch restores its own view of what changed.
     ``witness_tries`` counts the paths ``has_witnesses`` has tried over
     the store's life.
     """
 
     __slots__ = ("candidates", "_cand_set", "_verts", "_alive",
                  "by_pair", "_by_inner", "_by_end", "_pair_alive",
-                 "_reach", "changed_ends", "zeroed_pairs", "witness_tries")
+                 "_reach", "witness_tries")
 
     def __init__(self, candidates, verts: list[tuple[int, ...]],
                  by_pair: dict[tuple[int, int], list[int]]):
@@ -135,8 +141,6 @@ class PathStore:
                 by_inner[x].append(pid)
         self._by_end = dict(by_end)
         self._by_inner = dict(by_inner)
-        self.changed_ends: set[int] = set()
-        self.zeroed_pairs: list[tuple[int, int]] = []
         self.witness_tries = 0
 
     def __len__(self) -> int:
@@ -178,8 +182,9 @@ class PathStore:
     def _kill_all(self, pid_lists, keep: int = -1) -> UndoToken:
         """Deactivate, as one batch, every alive path in the lists but ``keep``."""
         alive, verts, pair_alive = self._alive, self._verts, self._pair_alive
-        reach, changed = self._reach, self.changed_ends
-        self.zeroed_pairs = zeroed = []
+        reach = self._reach
+        ends: set[int] = set()
+        zeroed: list[tuple[int, int]] = []
         killed: list[int] = []
         for pids in pid_lists:
             for pid in pids:
@@ -193,10 +198,10 @@ class PathStore:
                         reach[u].discard(w)
                         reach[w].discard(u)
                         zeroed.append(key)
-                    changed.add(u)
-                    changed.add(w)
+                    ends.add(u)
+                    ends.add(w)
                     killed.append(pid)
-        return UndoToken(tuple(killed))
+        return UndoToken(tuple(killed), ends, zeroed)
 
     def remove_paths_through_vertex(self, v: int) -> UndoToken:
         """Deactivate every alive path having v strictly inside; ends untouched."""
@@ -216,7 +221,7 @@ class PathStore:
         return self._kill_all([self._by_inner[x] for x in self._verts[pid][1:-1]], keep=pid)
 
     def undo(self, token: UndoToken):
-        """Revive the token's paths; ``changed_ends`` and ``zeroed_pairs`` stay."""
+        """Revive the token's paths."""
         alive, verts, pair_alive = self._alive, self._verts, self._pair_alive
         reach = self._reach
         for pid in reversed(token.killed):
@@ -308,10 +313,7 @@ class PathStore:
         return found
 
     def snapshot(self):
-        """Fingerprint of the state that undo restores, for exact-restore checks.
-
-        ``changed_ends`` and ``zeroed_pairs`` are left out.
-        """
+        """Fingerprint of the state that undo restores, for exact-restore checks."""
         sets = {v: frozenset(s) for v, s in self._reach.items()}
         return bytes(self._alive), dict(self._pair_alive), sets
 

@@ -58,9 +58,11 @@ search puts back its root's, which also undoes the root refinement, so
 nothing of a search outlives it.  The path store's alive flags, counters
 and reachability sets are rolled back through undo tokens in reverse
 order.  Beyond the n1 row references it saves, a push costs what it
-changes, not the pattern's size, and the dead check after a push looks
-only at what the push changed.  A search owns its state and is
-single-threaded; the input graphs are never modified.
+changes, not the pattern's size.  A push returns whether it left the
+state dead, judged from what the push changed: a row its strip or
+refinement emptied, or a pending edge its kills left without an alive
+path.  A search owns its state and is single-threaded; the input graphs
+are never modified.
 """
 
 from __future__ import annotations
@@ -85,7 +87,6 @@ __all__ = [
     "SearchConfig",
     "SearchStats",
     "CompatibleMatrix",
-    "initial_compatible_matrix",
     "MatchState",
     "Mapping",
     "ndshd1",
@@ -207,22 +208,12 @@ class CompatibleMatrix:
     def ones(self) -> int:
         return sum(len(r) for r in self.rows[1:])
 
-    def nonzero_columns(self) -> tuple:
-        cols: set[int] = set()
-        for r in self.rows[1:]:
-            cols.update(r)
-        return tuple(sorted(cols))
-
     def snapshot(self) -> list[frozenset[int]]:
         """Rows 1..n1 by reference; no row is copied."""
         return self.rows[1:]
 
     def restore(self, snap):
         self.rows[1:] = snap
-
-
-def initial_compatible_matrix(g1: LabeledGraph, g2: LabeledGraph) -> CompatibleMatrix:
-    return CompatibleMatrix.initial(g1, g2)
 
 
 class MatchState:
@@ -250,12 +241,12 @@ class MatchState:
     Refinement scans only dirty rows: the map ``_dirty`` takes each
     unmatched row that needs a scan to its pending cells, the cells to
     re-check, or to ``None`` for every cell.  A neighbour's new row or
-    image makes every cell pending, as does a strip that empties the
-    row; the next refinement adds the ends of the paths a kill removed
-    to the pending cells of the rows holding them.  A scan takes the row
-    out of the map.  Each push saves the map in its trail entry and
-    works on a copy, and its pop puts the saved map back, so the map
-    always matches the rows and alive paths it describes.
+    image makes every cell pending, and a push adds the ends of the paths
+    its kills removed, which its undo token carries, to the pending cells
+    of the rows holding them.  A scan takes the row out of the map.  Each
+    push saves the map in its trail entry and works on a copy, and its
+    pop puts the saved map back, so the map always matches the rows and
+    alive paths it describes.
     """
 
     def __init__(self, g1: LabeledGraph, matrix: CompatibleMatrix, store,
@@ -269,7 +260,6 @@ class MatchState:
         # image pair (a, b), a < b -> the pending pattern edge between its preimages
         self.pending: dict[tuple[int, int], tuple[int, int]] = {}
         self._trail: list = []  # (kind, undo token, dirty map, rows) per push
-        self._emptied = False  # the newest push bound an empty row
         # unmatched row -> the cells its next scan re-checks (None: every cell)
         self._dirty: dict[int, frozenset[int] | None] = dict.fromkeys(g1.vertices)
         # The rows of the matrix the state starts from, grouped by content
@@ -296,13 +286,14 @@ class MatchState:
 
     # state transitions -------------------------------------------------
 
-    def push_node_match(self, vi: int, vj: int):
-        """Match vi to vj, which takes vj.
+    def push_node_match(self, vi: int, vj: int) -> bool:
+        """Match vi to vj, which takes vj; return whether the state is dead.
 
         Kills the paths running through vj and binds row vi to {vj}; then
         ``_take`` strips vj from the unmatched rows and refines.
         """
-        self._save("node", self.store.remove_paths_through_vertex(vj))
+        token = self.store.remove_paths_through_vertex(vj)
+        self._save("node", token)
         img, pending = self.node_image, self.pending
         for u in self.g1._adj[vi]:
             fu = img.get(u)
@@ -311,48 +302,59 @@ class MatchState:
         img[vi] = vj
         self._dirty.pop(vi, None)
         self._rebind(vi, frozenset((vj,)))
-        self._take((vj,), hints=(vi,))
+        return self._take((vj,), (vi,), token)
 
-    def push_path_match(self, edge: tuple[int, int], pid: int):
-        """Commit path pid to edge, which takes the path's inner vertices.
+    def push_path_match(self, edge: tuple[int, int], pid: int) -> bool:
+        """Commit path pid to edge, which takes the path's inner vertices;
+        return whether the state is dead.
 
         Kills the other paths running through them; then ``_take`` strips
         them from the unmatched rows and refines.
         """
         store = self.store
-        self._save("edge", store.remove_paths_conflicting_with(pid))
+        token = store.remove_paths_conflicting_with(pid)
+        self._save("edge", token)
         verts = store.vertices(pid)
         del self.pending[verts[0], verts[-1]]
         self.path_of_edge[edge] = pid
-        self._take(store.inner(pid), hints=edge)
+        return self._take(store.inner(pid), edge, token)
 
     def _save(self, kind: str, token):
         """Open a trail entry for a push: the dirty map, edited as a copy, and the rows."""
         self._trail.append((kind, token, self._dirty, self.matrix.snapshot()))
         self._dirty = self._dirty.copy()
-        self._emptied = False
 
     def _rebind(self, i: int, row: frozenset[int]):
-        """Bind row i, noting an empty one; its unmatched neighbours' cells turn pending."""
+        """Bind row i; its unmatched neighbours' cells turn pending."""
         self.matrix.rows[i] = row
-        if not row:
-            self._emptied = True
         img, dirty = self.node_image, self._dirty
         for u in self.g1._adj[i]:
             if u not in img:
                 dirty[u] = None
 
-    def _take(self, taken, hints):
-        """Strip the taken vertices from the unmatched rows, then refine.
+    def _take(self, taken, hints, token) -> bool:
+        """Strip the taken vertices from the unmatched rows, then refine;
+        return whether the push left the state dead.
 
         Only the rows of a group whose initial row holds a taken vertex
         can hold it, and a matched row holds only its own image, never a
-        taken vertex.  A row the strip empties turns dirty, so that
-        refinement stops where a full scan would.  A refinement cut by
-        the deadline undoes the push.
+        taken vertex.  A strip that empties a row ends the push without a
+        refinement: the state is dead, and its pop puts back the dirty
+        map.  Otherwise the ends of the paths the push killed become
+        pending cells of the rows holding them, and refinement runs.  A
+        refinement cut by the deadline undoes the push.
+
+        The state the push started from was live: no unmatched row was
+        empty and every pending edge had an alive path.  So only what the
+        push changed can kill it: an empty row, or a pending edge whose
+        image pair its kills left without an alive path.  An edge the
+        push made pending needs no check: refinement kept the pushed cell
+        only if each matched neighbour's image was reachable from it, and
+        a node match kills no path ending at its own image.
         """
         rows = self.matrix.rows
         img = self.node_image
+        emptied = False
         for initial, ids in self._groups:
             if initial.isdisjoint(taken):
                 continue
@@ -360,13 +362,26 @@ class MatchState:
                 if i not in img and not rows[i].isdisjoint(taken):
                     row = rows[i].difference(taken)
                     self._rebind(i, row)
-                    if not row:
-                        self._dirty[i] = None
+                    emptied = emptied or not row
+        if emptied:
+            return True
+        ends, dirty = token.ends, self._dirty
+        if ends:
+            for initial, ids in self._groups:
+                if not initial.isdisjoint(ends):
+                    for i in ids:
+                        cells = dirty.get(i, frozenset())
+                        if (cells is not None and i not in img
+                                and not rows[i].isdisjoint(ends)):
+                            dirty[i] = cells.union(rows[i].intersection(ends))
         try:
-            self.refine_compatibility(hints=hints)
+            if self.refine_compatibility(hints=hints):
+                return True
         except SearchTimeout:
             self.pop()
             raise
+        pending = self.pending
+        return any(pair in pending for pair in token.zeroed)
 
     def pop(self):
         """Undo the most recent push exactly, the dirty map and pending edges included."""
@@ -413,20 +428,6 @@ class MatchState:
                 return True
         return False
 
-    def is_dead_after_push(self) -> bool:
-        """``is_dead()`` of a state the engine just pushed from a live one.
-
-        A live state has no empty unmatched row and no pending edge
-        without an alive path, so only what the push changed can kill
-        it: an empty row it bound (``_rebind`` notes one), or a pending
-        edge whose image pair its kills left without an alive path.  An
-        edge the push made pending needs no check.  Refinement kept the
-        pushed cell only if each matched neighbour's image was reachable
-        from it, and a node match kills no path ending at its own image.
-        """
-        pending = self.pending
-        return self._emptied or any(pair in pending for pair in self.store.zeroed_pairs)
-
     # candidate generation -----------------------------------------------
 
     def select_row(self) -> int | None:
@@ -465,7 +466,7 @@ class MatchState:
 
     # matrix refinement ----------------------------------------------------
 
-    def refine_compatibility(self, hints=()):
+    def refine_compatibility(self, hints=()) -> bool:
         """Clear node-candidate cells that cannot support their incident edges.
 
         A cell (i, j) survives only if every matched neighbour of i is
@@ -483,37 +484,26 @@ class MatchState:
         Rows are visited in one order: the unmatched neighbours of the
         ``hints`` vertices first, then the other unmatched rows in
         ascending id.  The pass stops once a row is empty, because the
-        state is then dead and about to be discarded anyway.
+        state is then dead and about to be discarded anyway; it returns
+        True exactly when it stops so.
 
         A cell's verdict depends only on its neighbours' images or rows,
         the witness cap and the alive paths ending at its column, so only
         the dirty rows are scanned, each re-checking only its pending
-        cells (see ``MatchState``).  The ends of the paths killed since
-        the last pass first become pending cells of the rows holding
-        them.  A row whose cells this pass clears makes its neighbours
-        dirty, and they are scanned later in the pass if they come after
-        it.  Reach sets are symmetric, so the cells outside the reach set
-        of some matched neighbour's image are cleared without a pick.
-        The cells a scan clears are bound as one new row.  The configured
-        deadline is polled once per row scanned.
+        cells (see ``MatchState``).  A row whose cells this pass clears
+        makes its neighbours dirty, and they are scanned later in the pass
+        if they come after it.  Reach sets are symmetric, so the cells
+        outside the reach set of some matched neighbour's image are
+        cleared without a pick.  The cells a scan clears are bound as one
+        new row.  The configured deadline is polled once per row scanned.
         """
         adj = self.g1._adj
         rows = self.matrix.rows
         img = self.node_image
         store = self.store
         dirty = self._dirty
-        ends = store.changed_ends
-        if ends:
-            store.changed_ends = set()
-            for initial, ids in self._groups:
-                if not initial.isdisjoint(ends):
-                    for i in ids:
-                        pending = dirty.get(i, frozenset())
-                        if (pending is not None and i not in img
-                                and not rows[i].isdisjoint(ends)):
-                            dirty[i] = pending.union(rows[i].intersection(ends))
         if not dirty:
-            return
+            return False
         head = []  # the hint rows, whose visit positions are -len(head)..-1
         for hv in hints:
             for u in adj[hv]:
@@ -532,7 +522,7 @@ class MatchState:
             vi = head[pos] if pos < 0 else pos
             row = rows[vi]
             if not row:
-                return
+                return True
             pending = dirty.pop(vi)
             if not adj[vi]:
                 continue
@@ -561,7 +551,8 @@ class MatchState:
                 row = row.difference(cleared)
                 self._rebind(vi, row)
                 if not row:
-                    return
+                    return True
+        return False
 
 
 @dataclass(slots=True)
@@ -605,8 +596,7 @@ class _Engine:
             # One refinement pass before the first selection settles most
             # unsatisfiable instances in a single scan instead of once per
             # root candidate; it is the same sound per-match refinement.
-            s.refine_compatibility()
-            found = self._open(stack, "node", s.is_dead)
+            found = self._open(stack, "node", s.refine_compatibility())
             while True:
                 if found is not None:
                     yield found
@@ -623,13 +613,13 @@ class _Engine:
                     found = None
                     continue
                 if frame.phase == "node":
-                    s.push_node_match(frame.item, cand)
+                    dead = s.push_node_match(frame.item, cand)
                 else:
-                    s.push_path_match(frame.item, cand)
+                    dead = s.push_path_match(frame.item, cand)
                 self._record(frame.phase)
                 frame.pushed = True
                 phase = "edge" if s.pending and not self.two_level else frame.phase
-                found = self._open(stack, phase, s.is_dead_after_push)
+                found = self._open(stack, phase, dead)
         finally:
             while stack:
                 if stack.pop().pushed:
@@ -637,19 +627,22 @@ class _Engine:
             s.matrix.restore(rows)
             s._dirty = dirty
 
-    def _open(self, stack, phase, is_dead) -> Mapping | None:
+    def _open(self, stack, phase, dead: bool) -> Mapping | None:
         """Enter the root or the state after a push; stack its frame or return its mapping.
 
-        ``is_dead`` is the state's dead check: the full one at the root,
-        the push-local one after a push.  A state with nothing to choose
-        enters the next one in the same call without a second check:
-        ``ndshd1``'s node level hands over to the edge level once every
-        row is matched, ``ndshd2``'s edge level back to the node level.
+        ``dead`` says whether the state is dead: after a push, what the
+        push returned; at the root, what the root refinement returned,
+        which is exact there because every row starts dirty, so the pass
+        stops at any empty row, and no edge is pending.  A state with
+        nothing to choose enters the next one in the same call without a
+        second check: ``ndshd1``'s node level hands over to the edge level
+        once every row is matched, ``ndshd2``'s edge level back to the
+        node level.
         """
         s = self.state
         two_level = self.two_level
         self._enter()
-        if is_dead():
+        if dead:
             return None
         while True:
             if phase == "node":

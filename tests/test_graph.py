@@ -108,6 +108,9 @@ def test_graph_constructor_rejects_bad_input():
         LabeledGraph(2, {1: "a"}, [])
     with pytest.raises(ValueError, match="unknown vertex"):
         LabeledGraph(2, {1: "a", 2: "b"}, [(1, 3)])
+    for n in (-1, 2.5, True, "2"):
+        with pytest.raises(ValueError, match="vertex count must be an int"):
+            LabeledGraph(n, {}, [])
 
 
 class TestRandomLabeledGraph:
@@ -144,6 +147,12 @@ class TestRandomLabeledGraph:
             random_labeled_graph(5, 2.0, 0, 0)
         with pytest.raises(ValueError):
             random_labeled_graph(5, float("nan"), 2, 0)
+        for n in (2.5, True):
+            with pytest.raises(ValueError, match="n must be an int"):
+                random_labeled_graph(n, 0.5, 2, 0)
+        for label_count in (2.5, True):
+            with pytest.raises(ValueError, match="label_count must be an int"):
+                random_labeled_graph(5, 2.0, label_count, 0)
         # avg_degree == n-1 means a complete graph, which is fine
         g = random_labeled_graph(5, 4.0, 2, 0)
         assert g.m == 10
@@ -186,8 +195,9 @@ class TestPlantSubdivision:
             plant_subdivision(k2, 0, 1)
         with pytest.raises(ValueError):
             plant_subdivision(k2, 2, 1)
-        with pytest.raises(ValueError):
-            plant_subdivision(k2, 1, 1, padding=-1)
+        for padding in (-1, 2.5, True):
+            with pytest.raises(ValueError, match="padding must be an int"):
+                plant_subdivision(k2, 1, 1, padding=padding)
         for l, h in ((True, 2), (1, 2.5), (1.0, 2), (1, "2")):
             with pytest.raises(ValueError, match="must be an int"):
                 plant_subdivision(k2, l, h)

@@ -5,10 +5,10 @@ import random
 import pytest
 
 from homeomatch import (
+    CompatibleMatrix,
     LabeledGraph,
     candidate_branch_nodes,
     enumerate_paths,
-    initial_compatible_matrix,
     random_labeled_graph,
 )
 from homeomatch.oracle import bounded_simple_paths
@@ -30,31 +30,31 @@ def all_bounded_pairs(g, candidates, l, h):
 
 class TestCandidateBranchNodes:
     def test_worked_example_excludes_two_columns(self, worked_pattern, worked_data):
-        m0 = initial_compatible_matrix(worked_pattern, worked_data)
+        m0 = CompatibleMatrix.initial(worked_pattern, worked_data)
         assert candidate_branch_nodes(m0) == (1, 2, 3, 4, 6, 7, 8)
 
     def test_all_zero_matrix(self, worked_pattern, worked_data):
-        m0 = initial_compatible_matrix(worked_pattern, worked_data)
+        m0 = CompatibleMatrix.initial(worked_pattern, worked_data)
         m0.rows[1:] = [frozenset()] * (len(m0.rows) - 1)
         assert candidate_branch_nodes(m0) == ()
 
     def test_all_ones_matrix(self):
         g = LabeledGraph(3, {1: "a", 2: "a", 3: "a"}, [(1, 2), (2, 3)])
-        m0 = initial_compatible_matrix(g, g)
+        m0 = CompatibleMatrix.initial(g, g)
         m0.rows[1:] = [frozenset(g.vertices)] * (len(m0.rows) - 1)
         assert candidate_branch_nodes(m0) == (1, 2, 3)
 
 
 class TestEnumeratePaths:
     def test_worked_example_pair_2_8(self, worked_pattern, worked_data):
-        m0 = initial_compatible_matrix(worked_pattern, worked_data)
+        m0 = CompatibleMatrix.initial(worked_pattern, worked_data)
         store = worked_store(worked_data, m0)
         found = {store.vertices(p) for p in store.alive_between(2, 8)}
         assert found == {(2, 1, 8), (2, 9, 8)}
 
     def test_non_candidate_inner_vertices_are_kept(self, worked_pattern, worked_data):
         # vertex 9 is not a candidate but sits inside stored paths
-        m0 = initial_compatible_matrix(worked_pattern, worked_data)
+        m0 = CompatibleMatrix.initial(worked_pattern, worked_data)
         store = worked_store(worked_data, m0)
         assert any(9 in store.inner(pid) for pid in range(len(store)))
 
@@ -75,7 +75,7 @@ class TestEnumeratePaths:
             assert got == all_bounded_pairs(g, cands, l, h), seed
 
     def test_no_stored_end_outside_candidates(self, worked_pattern, worked_data):
-        m0 = initial_compatible_matrix(worked_pattern, worked_data)
+        m0 = CompatibleMatrix.initial(worked_pattern, worked_data)
         store = worked_store(worked_data, m0, 1, 3)
         cands = set(store.candidates)
         for pid in range(len(store)):
@@ -101,7 +101,7 @@ class TestEnumeratePaths:
 
 class TestRemovalAndUndo:
     def test_remove_through_matched_vertex(self, worked_pattern, worked_data):
-        m0 = initial_compatible_matrix(worked_pattern, worked_data)
+        m0 = CompatibleMatrix.initial(worked_pattern, worked_data)
         store = worked_store(worked_data, m0)
         # independent recomputation: paths that must die are exactly those
         # with vertex 8 strictly inside
@@ -117,7 +117,7 @@ class TestRemovalAndUndo:
         store.undo(token)
 
     def test_remove_through_untouched_vertex_is_noop(self, worked_pattern, worked_data):
-        m0 = initial_compatible_matrix(worked_pattern, worked_data)
+        m0 = CompatibleMatrix.initial(worked_pattern, worked_data)
         store = worked_store(worked_data, m0)
         before = store.snapshot()
         # the only length-2 path through vertex 4 would end at the
@@ -127,7 +127,7 @@ class TestRemovalAndUndo:
         assert store.snapshot() == before
 
     def test_remove_undo_restores_exactly(self, worked_pattern, worked_data):
-        m0 = initial_compatible_matrix(worked_pattern, worked_data)
+        m0 = CompatibleMatrix.initial(worked_pattern, worked_data)
         store = worked_store(worked_data, m0)
         before = store.snapshot()
         token = store.remove_paths_through_vertex(9)
@@ -136,7 +136,7 @@ class TestRemovalAndUndo:
         assert store.snapshot() == before
 
     def test_conflicting_removal_kills_sharing_paths(self, worked_pattern, worked_data):
-        m0 = initial_compatible_matrix(worked_pattern, worked_data)
+        m0 = CompatibleMatrix.initial(worked_pattern, worked_data)
         store = worked_store(worked_data, m0)
         (p296,) = [p for p in store.alive_between(2, 6) if store.vertices(p) == (2, 9, 6)]
         (p298,) = [p for p in store.alive_between(2, 8) if 9 in store.inner(p)]
@@ -154,7 +154,7 @@ class TestRemovalAndUndo:
         assert all(store.is_alive(pid) for pid in range(len(store))) and len(store) == 3
 
     def test_remove_conflicting_validates_pid(self, worked_pattern, worked_data):
-        m0 = initial_compatible_matrix(worked_pattern, worked_data)
+        m0 = CompatibleMatrix.initial(worked_pattern, worked_data)
         store = worked_store(worked_data, m0)
         with pytest.raises(ValueError):
             store.remove_paths_conflicting_with(len(store))
@@ -164,7 +164,7 @@ class TestRemovalAndUndo:
             store.remove_paths_conflicting_with(dead)
 
     def test_path_count_requires_candidates(self, worked_pattern, worked_data):
-        m0 = initial_compatible_matrix(worked_pattern, worked_data)
+        m0 = CompatibleMatrix.initial(worked_pattern, worked_data)
         store = worked_store(worked_data, m0)
         assert store.path_count(2, 8) == 2
         assert store.path_count(3, 7) == 0  # candidates but no length-2 path
@@ -181,44 +181,42 @@ class TestRemovalAndUndo:
             stack = []
             for _ in range(100):
                 alive = [p for p in range(len(store)) if store.is_alive(p)]
-                removal = True
+                token = None
                 if stack and rng.random() < 0.4:
                     store.undo(stack.pop())
-                    removal = False
                 elif rng.random() < 0.6:
                     v = rng.randrange(1, g.n + 1)
-                    store.changed_ends.clear()
-                    stack.append(store.remove_paths_through_vertex(v))
+                    token = store.remove_paths_through_vertex(v)
+                    stack.append(token)
                     # a batch kills exactly the alive paths the taken vertex is inside
-                    assert sorted(stack[-1].killed) == [
+                    assert sorted(token.killed) == [
                         p for p in alive if v in store.inner(p)], (l, seed, v)
                 else:
                     if not alive:
                         continue
                     pid = rng.choice(alive)
-                    store.changed_ends.clear()
-                    stack.append(store.remove_paths_conflicting_with(pid))
+                    token = store.remove_paths_conflicting_with(pid)
+                    stack.append(token)
                     taken = set(store.inner(pid))
-                    assert sorted(stack[-1].killed) == [
+                    assert sorted(token.killed) == [
                         p for p in alive if p != pid and taken & set(store.inner(p))
                     ], (l, seed, pid)
-                last = assert_derived_structures(store, last, removal)
+                last = assert_derived_structures(store, last, token)
             while stack:
                 store.undo(stack.pop())
                 last = assert_derived_structures(store, last)
             assert store.snapshot() == initial, (l, seed)
 
 
-def assert_derived_structures(store, last=None, removal=False):
+def assert_derived_structures(store, last=None, token=None):
     """Check the structures the build's bulk pass fills against a full recount.
 
     ``last`` is what the previous call returned, with exactly one removal
-    batch or undo run since.  A removal batch (``removal``) starts with
-    ``changed_ends`` emptied; after it, ``changed_ends`` must hold exactly
-    the candidates whose alive incident paths changed, and ``zeroed_pairs``
-    exactly the pairs it left without an alive path.  An undo must leave
-    both as they were.  Returns the alive paths per end, the alive count
-    per pair and copies of the two change fields.
+    batch or undo run since.  ``token`` is that removal batch's token, or
+    None after an undo: its ``ends`` must hold exactly the candidates
+    whose alive incident paths changed, and its ``zeroed`` exactly the
+    pairs it left without an alive path.  Returns the alive paths per end
+    and the alive count per pair.
     """
     ends = {v: [] for v in store.candidates}
     alive_ends = {v: [] for v in store.candidates}
@@ -242,21 +240,17 @@ def assert_derived_structures(store, last=None, removal=False):
     for u, w in itertools.combinations(store.candidates, 2):
         count = store.pair_count(u, w)
         assert count == len(store.alive_between(u, w)) == alive_pairs[u, w], (u, w)
-    if last is None:
-        assert store.changed_ends == set() and store.zeroed_pairs == []
-    elif removal:
-        last_alive_ends, last_pairs = last[:2]
-        assert store.changed_ends == {
+    if token is not None:
+        last_alive_ends, last_pairs = last
+        assert token.ends == {
             v for v in store.candidates if alive_ends[v] != last_alive_ends[v]}
-        assert sorted(store.zeroed_pairs) == sorted(
+        assert sorted(token.zeroed) == sorted(
             pair for pair in last_pairs if not alive_pairs[pair])
-    else:
-        assert (store.changed_ends, store.zeroed_pairs) == last[2:]
-    return alive_ends, alive_pairs, set(store.changed_ends), list(store.zeroed_pairs)
+    return alive_ends, alive_pairs
 
 
 def test_dump_format(worked_pattern, worked_data):
-    m0 = initial_compatible_matrix(worked_pattern, worked_data)
+    m0 = CompatibleMatrix.initial(worked_pattern, worked_data)
     store = worked_store(worked_data, m0)
     lines = store.dump().splitlines()
     assert len(lines) == len(store)

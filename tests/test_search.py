@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from homeomatch import pathindex, search
 from homeomatch import (
+    CompatibleMatrix,
     LabeledGraph,
     Mapping,
     MatchState,
@@ -19,7 +20,6 @@ from homeomatch import (
     SearchStats,
     SearchTimeout,
     enumerate_all,
-    initial_compatible_matrix,
     ndshd1,
     ndshd2,
     random_labeled_graph,
@@ -40,7 +40,7 @@ def full_snapshot(state):
 
 class TestInitialCompatibleMatrix:
     def test_worked_example_degree_filter(self, worked_pattern, worked_data):
-        m0 = initial_compatible_matrix(worked_pattern, worked_data)
+        m0 = CompatibleMatrix.initial(worked_pattern, worked_data)
         # data vertex 5 shares the label of pattern vertex 1 but its
         # degree 2 is below the pattern vertex's degree 3
         assert worked_data.label(5) == worked_pattern.label(1)
@@ -53,7 +53,7 @@ class TestInitialCompatibleMatrix:
     def test_identity_for_uniquely_labeled_graph(self):
         g = LabeledGraph(4, {1: "a", 2: "b", 3: "c", 4: "d"},
                          [(1, 2), (2, 3), (3, 4)])
-        m0 = initial_compatible_matrix(g, g)
+        m0 = CompatibleMatrix.initial(g, g)
         for i in g.vertices:
             assert sorted(m0.rows[i]) == [i]
 
@@ -61,7 +61,7 @@ class TestInitialCompatibleMatrix:
         for seed in range(10):
             g1 = random_labeled_graph(4, 1.5, 3, seed)
             g2 = random_labeled_graph(9, 2.5, 3, seed + 100)
-            m0 = initial_compatible_matrix(g1, g2)
+            m0 = CompatibleMatrix.initial(g1, g2)
             for i in g1.vertices:
                 for j in g2.vertices:
                     expect = (g1.label(i) == g2.label(j)
@@ -71,7 +71,7 @@ class TestInitialCompatibleMatrix:
     def test_requires_nonempty_graphs(self):
         g = LabeledGraph(1, {1: "a"}, [])
         with pytest.raises(ValueError):
-            initial_compatible_matrix(LabeledGraph(0, {}, []), g)
+            CompatibleMatrix.initial(LabeledGraph(0, {}, []), g)
 
 
 class TestStatePredicates:
@@ -671,17 +671,21 @@ def test_strategies_and_oracle_agree_under_every_config(instance, config):
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
 @given(instance=_instances(), config=_CONFIGS)
 def test_push_local_dead_check_matches_the_full_one(instance, config):
-    """At every state the engine opens after a push, the dead check that
-    looks only at what the push changed answers as the full ``is_dead()``."""
+    """Every push the engine makes returns the verdict of the full
+    ``is_dead()`` on the state it leaves, though it looks only at what the
+    push changed."""
     g1, g2, l, h = instance
-    real = MatchState.is_dead_after_push
+    real_node, real_path = MatchState.push_node_match, MatchState.push_path_match
 
-    def compared(self):
-        verdict = real(self)
-        assert verdict == self.is_dead()
-        return verdict
+    def compared(real):
+        def push(self, item, choice):
+            verdict = real(self, item, choice)
+            assert verdict is self.is_dead()
+            return verdict
+        return push
 
-    with mock.patch.object(MatchState, "is_dead_after_push", compared):
+    with mock.patch.object(MatchState, "push_node_match", compared(real_node)), \
+            mock.patch.object(MatchState, "push_path_match", compared(real_path)):
         for fn in (ndshd1, ndshd2):
             fn(g1, g2, l, h, config=config)
         for strategy in ("ndshd1", "ndshd2"):
@@ -741,7 +745,7 @@ def test_pop_gives_back_the_dirty_map_and_rows_its_push_found(instance, config):
     def recording(real):
         def push(self, item, choice):
             found.append((copy.copy(self._dirty), self.matrix.snapshot()))
-            real(self, item, choice)
+            return real(self, item, choice)
         return push
 
     def checked_pop(self):
@@ -763,7 +767,7 @@ def _assert_clean_cells_are_supported(state):
     """Every cell of an unmatched row that the next refinement would not
     re-check passes the reach tests and a fresh witness pick: the cells of
     a row outside the dirty map, and the cells of a row outside its pending
-    set, unless the kills since the last refinement changed their ends."""
+    set."""
     g1, rows, img, store = state.g1, state.matrix.rows, state.node_image, state.store
     cap = state.config.witness_cap
     for i in g1.vertices:
@@ -772,16 +776,17 @@ def _assert_clean_cells_are_supported(state):
             continue
         images = [img[u] for u in g1.neighbors(i) if u in img]
         neighbor_rows = [rows[u] for u in g1.neighbors(i) if u not in img]
-        for vj in rows[i] - pending - store.changed_ends:
+        for vj in rows[i] - pending:
             reach = store.reachable_from(vj)
             assert reach.issuperset(images), (i, vj)
             assert all(not row.isdisjoint(reach) for row in neighbor_rows), (i, vj)
             assert store.has_witnesses(vj, images, neighbor_rows, cap), (i, vj)
 
 
-# Here a match strips the last candidates from an unmatched row, and a row
-# after it in visit order has cells to clear.  A pass that does not visit
-# the emptied row clears them; a full pass stops first.
+# Here matches strip the last candidates from an unmatched row while a row
+# after it in visit order still has cells to clear.  Such a push leaves the
+# state dead and must return that without a refinement, which would clear
+# those cells before it reached the emptied row.
 _STRIPPED_EMPTY = (
     LabeledGraph(4, {1: "L0", 2: "L0", 3: "L1", 4: "L1"}, [(1, 3), (1, 4), (2, 4)]),
     LabeledGraph(9, {1: "L1", 2: "L1", 3: "L0", 4: "L0", 5: "L1", 6: "L0", 7: "L0",
@@ -797,25 +802,25 @@ _STRIPPED_EMPTY = (
 def test_refinement_rechecks_only_pending_cells(instance, config):
     """At every refinement of a search, every cell it would not re-check is
     supported, and the pass that re-checks only the pending cells clears
-    exactly the cells that a pass with every cell of every unmatched row
-    pending clears."""
+    exactly the cells, and returns the verdict, of a pass with every cell
+    of every unmatched row pending."""
     g1, g2, l, h = instance
     real_refine = MatchState.refine_compatibility
     passes = []
 
     def checked_refine(self, hints=()):
-        store, rows = self.store, self.matrix.rows
+        rows = self.matrix.rows
         _assert_clean_cells_are_supported(self)
-        before = rows[:]
-        dirty, changed = self._dirty, set(store.changed_ends)
+        before, dirty = rows[:], self._dirty
         self._dirty = dict.fromkeys(i for i in g1.vertices if i not in self.node_image)
-        real_refine(self, hints)
+        full = real_refine(self, hints)
         expected = rows[:]
         rows[:] = before
-        self._dirty, store.changed_ends = dirty, changed
-        real_refine(self, hints)
-        assert rows == expected
+        self._dirty = dirty
+        verdict = real_refine(self, hints)
+        assert (verdict, rows) == (full, expected)
         passes.append(hints)
+        return verdict
 
     with mock.patch.object(MatchState, "refine_compatibility", checked_refine):
         for fn in (ndshd1, ndshd2):
@@ -823,6 +828,35 @@ def test_refinement_rechecks_only_pending_cells(instance, config):
         for strategy in ("ndshd1", "ndshd2"):
             list(enumerate_all(g1, g2, l, h, strategy=strategy, config=config))
     assert passes
+
+
+def test_no_refinement_runs_on_a_pushed_state_with_an_empty_row():
+    """A push whose strip empties an unmatched row returns the state dead
+    without refining it."""
+    g1, g2, l, h = _STRIPPED_EMPTY
+    real_node, real_refine = MatchState.push_node_match, MatchState.refine_compatibility
+    emptied, wasted = [], []
+
+    def has_empty_row(state):
+        return any(not state.matrix.rows[i] for i in g1.vertices if i not in state.node_image)
+
+    def push(self, vi, vj):
+        dead = real_node(self, vi, vj)
+        if has_empty_row(self):
+            emptied.append((vi, vj))
+        return dead
+
+    def refine(self, hints=()):
+        if self.depth and has_empty_row(self):
+            wasted.append(hints)
+        return real_refine(self, hints)
+
+    with mock.patch.object(MatchState, "push_node_match", push), \
+            mock.patch.object(MatchState, "refine_compatibility", refine):
+        for strategy in ("ndshd1", "ndshd2"):
+            list(enumerate_all(g1, g2, l, h, strategy=strategy))
+    assert emptied
+    assert wasted == []
 
 
 class _ReferencePaths:
@@ -989,9 +1023,10 @@ def test_pruning_keeps_candidates_valid(instance, config):
                 ends = {self.node_image[item[0]], self.node_image[item[1]]}
                 assert {verts[0], verts[-1]} == ends, (item, verts)
             before = [set(r) for r in self.matrix.rows]
-            real(self, item, choice)
+            dead = real(self, item, choice)
             assert all(r <= b for r, b in zip(self.matrix.rows, before))
             check(self)
+            return dead
         return push
 
     def checked_pop(self):
