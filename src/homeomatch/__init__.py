@@ -21,6 +21,7 @@ from .graph import (
 )
 from .mapping import Mapping
 from .pathindex import (
+    IndexTooLarge,
     PathStore,
     UndoToken,
     candidate_branch_nodes,
@@ -59,6 +60,7 @@ __all__ = [
     "SearchConfig",
     "SearchStats",
     "SearchTimeout",
+    "IndexTooLarge",
     "enumerate_all",
     "ndshd1",
     "ndshd2",

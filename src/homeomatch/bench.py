@@ -49,8 +49,7 @@ import statistics
 import time
 from dataclasses import dataclass, field, fields, replace
 
-from .graph import LabeledGraph, check_random_graph_args, load_graph, random_labeled_graph
-from .pathindex import check_length_window
+from .graph import LabeledGraph, check_random_graph_args, check_window, load_graph, random_labeled_graph
 from .search import STRATEGIES, SearchConfig, SearchStats, SearchTimeout, ndshd1, ndshd2
 
 __all__ = [
@@ -136,7 +135,7 @@ class ExperimentSpec:
         # is generated or solved
         for value in self.sweep_values or (None,):
             point = _sweep_point(self, value)
-            check_length_window(point.l, point.h)
+            check_window(point.l, point.h)
             _check_generator_args(point.pattern, point.data)
 
     def algorithms(self) -> list[str]:

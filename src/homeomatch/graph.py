@@ -46,8 +46,10 @@ class GraphFormatError(ValueError):
 class LabeledGraph:
     """Immutable simple undirected graph with one label per vertex.
 
-    Vertices are the integers ``1..n``.  Instances never mutate after
-    construction, so they are safe to share between concurrent searches.
+    Vertices are the integers ``1..n``.  A label is a non-empty string
+    without whitespace, so that the text format can hold it.  Instances
+    never mutate after construction, so they are safe to share between
+    concurrent searches.
     """
 
     __slots__ = ("n", "edges", "_labels", "_adj")
@@ -60,7 +62,9 @@ class LabeledGraph:
         for v, token in dict(labels).items():
             if not 1 <= v <= n:
                 raise ValueError(f"label given for unknown vertex {v}")
-            lab[v] = str(token)
+            label = lab[v] = str(token)
+            if label.split() != [label]:
+                raise ValueError(f"label {label!r} of vertex {v} is empty or holds whitespace")
         if len(lab) != n:
             missing = next(v for v in range(1, n + 1) if v not in lab)
             raise ValueError(f"vertex {missing} has no label")

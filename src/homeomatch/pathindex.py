@@ -15,14 +15,13 @@ changed without a scan: the ends whose alive paths changed, and the end
 pairs it left without an alive path.
 
 A store belongs to exactly one search and is never mutated
-concurrently.  The maximum usable ``h`` is capped (default 6, env
-``HOMEOMATCH_MAX_H`` overrides) because the number of bounded paths
-grows exponentially with ``h``.
+concurrently.  The number of bounded paths grows exponentially with
+``h``, so the build stores at most ``MAX_PATHS`` paths and raises
+``IndexTooLarge`` past that; ``h`` itself is not capped.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from collections import defaultdict
 from dataclasses import dataclass
@@ -31,38 +30,27 @@ from .graph import check_window
 
 __all__ = [
     "SearchTimeout",
-    "DEFAULT_MAX_H",
-    "length_cap",
-    "check_length_window",
+    "IndexTooLarge",
+    "MAX_PATHS",
     "UndoToken",
     "PathStore",
     "candidate_branch_nodes",
     "enumerate_paths",
 ]
 
-DEFAULT_MAX_H = 6
-_ENV_MAX_H = "HOMEOMATCH_MAX_H"
+# Stored paths a build may hold.  Set-up peaks at 214-324 bytes per stored
+# path for h = 3 to 8, so the largest index allowed takes about 1 GiB.
+MAX_PATHS = 3_000_000
+# DFS descents between two polls of the deadline and the path budget.
+_POLL_EVERY = 1024
 
 
 class SearchTimeout(Exception):
     """Raised when a configured deadline expires mid-search."""
 
 
-def length_cap() -> int:
-    """Configured upper bound for h; HOMEOMATCH_MAX_H, an integer >= 1, overrides the default."""
-    raw = os.environ.get(_ENV_MAX_H, str(DEFAULT_MAX_H))
-    if not raw.strip().isdecimal() or int(raw) < 1:
-        raise ValueError(f"{_ENV_MAX_H} must be an integer >= 1, not {raw!r}")
-    return int(raw)
-
-
-def check_length_window(l: int, h: int):
-    """``check_window`` plus the configured cap on h that the solvers apply."""
-    check_window(l, h)
-    cap = length_cap()
-    if h > cap:
-        raise ValueError(
-            f"h={h} exceeds the configured cap {cap} (set {_ENV_MAX_H} to raise it)")
+class IndexTooLarge(ValueError):
+    """Raised when a path-index build would store more than ``MAX_PATHS`` paths."""
 
 
 @dataclass(frozen=True)
@@ -326,6 +314,16 @@ class PathStore:
         return "\n".join(lines) + ("\n" if lines else "")
 
 
+def _poll(deadline: float | None, stored: int):
+    """Raise once the build is past its deadline or over the path budget."""
+    if deadline is not None and time.monotonic() > deadline:
+        raise SearchTimeout("path-index build exceeded its deadline")
+    if stored > MAX_PATHS:
+        raise IndexTooLarge(
+            f"the path index exceeds its budget of {MAX_PATHS:,} stored paths; "
+            "narrow the window [l, h]")
+
+
 def enumerate_paths(g2, candidates, l: int, h: int,
                     deadline: float | None = None) -> PathStore:
     """All simple paths of length l..h between candidate pairs, each stored once.
@@ -334,11 +332,14 @@ def enumerate_paths(g2, candidates, l: int, h: int,
     far end is a candidate with a larger id, which canonicalizes the
     orientation.  Inner vertices may be non-candidates.  The DFS only
     appends path tuples and pair lists; the ``PathStore`` constructor
-    builds the rest in one pass afterwards.  ``deadline``, a
-    ``time.monotonic`` value, is polled once per source vertex; past it,
-    ``SearchTimeout`` is raised.
+    builds the rest in one pass afterwards.  Every 1,024 DFS descents and
+    after each source vertex, the build polls ``deadline``, a
+    ``time.monotonic`` value, and the path budget: past the deadline it
+    raises ``SearchTimeout``, and with more than ``MAX_PATHS`` paths
+    stored ``IndexTooLarge``.  The poll after the last source counts
+    every path, so no store over the budget is built.
     """
-    check_length_window(l, h)
+    check_window(l, h)
     for v in candidates:
         if not 1 <= v <= g2.n:
             raise ValueError(f"candidate {v} is not a vertex of the data graph")
@@ -347,14 +348,13 @@ def enumerate_paths(g2, candidates, l: int, h: int,
     verts: list[tuple[int, ...]] = []
     by_pair: dict[tuple[int, int], list[int]] = {}
     adj = g2._adj  # hot loop; skips the per-call bounds check of neighbors()
+    descents = _POLL_EVERY  # until the next poll
     # An explicit stack of neighbor iterators, one per path vertex whose
     # neighbors are still being walked.  A recursive nested function would
     # sit in a reference cycle with its own closure, which keeps the path
     # table alive after the store is dropped, until some later cyclic
     # garbage collection frees it.
     for s in sources:
-        if deadline is not None and time.monotonic() > deadline:
-            raise SearchTimeout("path-index build exceeded its deadline")
         path = [s]
         on_path = {s}
         stack = [iter(adj[s])]
@@ -375,9 +375,14 @@ def enumerate_paths(g2, candidates, l: int, h: int,
                 if nd < h:
                     on_path.add(w)
                     stack.append(iter(adj[w]))
+                    descents -= 1
+                    if not descents:
+                        _poll(deadline, len(verts))
+                        descents = _POLL_EVERY
                     break
                 path.pop()
             else:
                 stack.pop()
                 on_path.remove(path.pop())
+        _poll(deadline, len(verts))
     return PathStore(sources, verts, by_pair)

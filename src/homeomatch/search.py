@@ -73,14 +73,9 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
-from .graph import LabeledGraph
+from .graph import LabeledGraph, check_window
 from .mapping import Mapping
-from .pathindex import (
-    SearchTimeout,
-    candidate_branch_nodes,
-    check_length_window,
-    enumerate_paths,
-)
+from .pathindex import SearchTimeout, candidate_branch_nodes, enumerate_paths
 
 __all__ = [
     "SearchTimeout",
@@ -274,7 +269,7 @@ class MatchState:
     def create(cls, g1: LabeledGraph, g2: LabeledGraph, l: int, h: int,
                config: SearchConfig | None = None) -> "MatchState":
         config = config or SearchConfig()
-        check_length_window(l, h)
+        check_window(l, h)
         matrix = CompatibleMatrix.initial(g1, g2)
         cands = candidate_branch_nodes(matrix)
         store = enumerate_paths(g2, cands, l, h, deadline=config.deadline)
@@ -338,19 +333,22 @@ class MatchState:
 
         Only the rows of a group whose initial row holds a taken vertex
         can hold it, and a matched row holds only its own image, never a
-        taken vertex.  A strip that empties a row ends the push without a
-        refinement: the state is dead, and its pop puts back the dirty
-        map.  Otherwise the ends of the paths the push killed become
+        taken vertex.  A strip that empties a row, or kills that left a
+        pending edge's image pair without an alive path, end the push
+        without a refinement: the state is dead, and its pop puts back the
+        dirty map.  Otherwise the ends of the paths the push killed become
         pending cells of the rows holding them, and refinement runs.  A
         refinement cut by the deadline undoes the push.
 
         The state the push started from was live: no unmatched row was
         empty and every pending edge had an alive path.  So only what the
         push changed can kill it: an empty row, or a pending edge whose
-        image pair its kills left without an alive path.  An edge the
-        push made pending needs no check: refinement kept the pushed cell
-        only if each matched neighbour's image was reachable from it, and
-        a node match kills no path ending at its own image.
+        image pair its kills left without an alive path.  Refinement
+        changes neither the pending edges nor the paths, so the second
+        test runs before it.  An edge the push made pending needs no check:
+        refinement kept the pushed cell only if each matched neighbour's
+        image was reachable from it, and a node match kills no path ending
+        at its own image.
         """
         rows = self.matrix.rows
         img = self.node_image
@@ -363,7 +361,7 @@ class MatchState:
                     row = rows[i].difference(taken)
                     self._rebind(i, row)
                     emptied = emptied or not row
-        if emptied:
+        if emptied or any(pair in self.pending for pair in token.zeroed):
             return True
         ends, dirty = token.ends, self._dirty
         if ends:
@@ -375,13 +373,10 @@ class MatchState:
                                 and not rows[i].isdisjoint(ends)):
                             dirty[i] = cells.union(rows[i].intersection(ends))
         try:
-            if self.refine_compatibility(hints=hints):
-                return True
+            return self.refine_compatibility(hints=hints)
         except SearchTimeout:
             self.pop()
             raise
-        pending = self.pending
-        return any(pair in pending for pair in token.zeroed)
 
     def pop(self):
         """Undo the most recent push exactly, the dirty map and pending edges included."""
@@ -699,7 +694,7 @@ class _Engine:
 def _check_call(strategy, l, h):
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
-    check_length_window(l, h)
+    check_window(l, h)
 
 
 def _witnesses(g1, g2, l, h, strategy, config, stats):

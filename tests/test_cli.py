@@ -6,7 +6,7 @@ from unittest import mock
 
 import pytest
 
-from homeomatch import GraphFormatError, Mapping, load_graph, search
+from homeomatch import GraphFormatError, Mapping, load_graph, pathindex, search
 from homeomatch.cli import main
 from homeomatch.oracle import verify_mapping
 
@@ -40,13 +40,18 @@ class TestDetermine:
         rc = main(["determine", PATTERN, DATA, "--l", "3", "--h", "2"])
         assert rc == 2
 
-    @pytest.mark.parametrize("value", ["abc", "0", "-3"])
-    def test_bad_length_cap_is_exit_two(self, capsys, monkeypatch, value):
-        monkeypatch.setenv("HOMEOMATCH_MAX_H", value)
+    def test_path_index_over_budget_is_exit_two(self, capsys, monkeypatch):
+        monkeypatch.setattr(pathindex, "MAX_PATHS", 3)
         rc = main(["determine", PATTERN, DATA, "--l", "2", "--h", "2"])
         assert rc == 2
         assert capsys.readouterr().err == (
-            f"error: HOMEOMATCH_MAX_H must be an integer >= 1, not {value!r}\n")
+            "error: the path index exceeds its budget of 3 stored paths; "
+            "narrow the window [l, h]\n")
+
+    def test_wide_window_answers(self, capsys):
+        rc = main(["determine", PATTERN, DATA, "--l", "1", "--h", "9"])
+        assert rc == 0
+        assert capsys.readouterr().out == "true\n"
 
     def test_stats_json(self, tmp_path, capsys):
         stats = tmp_path / "stats.json"

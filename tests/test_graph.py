@@ -111,6 +111,10 @@ def test_graph_constructor_rejects_bad_input():
     for n in (-1, 2.5, True, "2"):
         with pytest.raises(ValueError, match="vertex count must be an int"):
             LabeledGraph(n, {}, [])
+    # the text format could not read these labels back
+    for label in ("a b", "", "x\ty", "z\n"):
+        with pytest.raises(ValueError, match="empty or holds whitespace"):
+            LabeledGraph(2, {1: label, 2: "c"}, [(1, 2)])
 
 
 class TestRandomLabeledGraph:
@@ -189,7 +193,7 @@ class TestPlantSubdivision:
         pattern = LabeledGraph(3, {1: "a", 2: "a", 3: "b"}, [(1, 2), (2, 3)])
         assert plant_subdivision(pattern, 1, 3, 10, 9) == plant_subdivision(pattern, 1, 3, 10, 9)
 
-    def test_parameter_validation(self, monkeypatch):
+    def test_parameter_validation(self):
         k2 = LabeledGraph(2, {1: "a", 2: "b"}, [(1, 2)])
         with pytest.raises(ValueError):
             plant_subdivision(k2, 0, 1)
@@ -201,6 +205,4 @@ class TestPlantSubdivision:
         for l, h in ((True, 2), (1, 2.5), (1.0, 2), (1, "2")):
             with pytest.raises(ValueError, match="must be an int"):
                 plant_subdivision(k2, l, h)
-        # the solvers' h cap does not apply to the generator
-        monkeypatch.setenv("HOMEOMATCH_MAX_H", "1")
         assert plant_subdivision(k2, 3, 3).n == 4

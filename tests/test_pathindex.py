@@ -1,18 +1,26 @@
 import collections
 import itertools
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
 from homeomatch import (
     CompatibleMatrix,
+    IndexTooLarge,
     LabeledGraph,
     candidate_branch_nodes,
     enumerate_paths,
+    pathindex,
     random_labeled_graph,
 )
 from homeomatch.oracle import bounded_simple_paths
-from homeomatch.pathindex import check_length_window
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def worked_store(worked_data, m0, l=2, h=2):
@@ -88,15 +96,45 @@ class TestEnumeratePaths:
         with pytest.raises(ValueError):
             enumerate_paths(worked_data, (1, 2), 3, 2)
 
-    def test_h_cap_default_and_override(self, worked_data, monkeypatch):
-        with pytest.raises(ValueError, match="cap"):
-            check_length_window(1, 7)
-        monkeypatch.setenv("HOMEOMATCH_MAX_H", "8")
-        check_length_window(1, 7)
-        enumerate_paths(worked_data, (2, 8), 1, 7)
-        monkeypatch.delenv("HOMEOMATCH_MAX_H")
-        with pytest.raises(ValueError, match="cap"):
-            enumerate_paths(worked_data, (2, 8), 1, 7)
+    def test_path_budget_is_exact(self, monkeypatch):
+        g = random_labeled_graph(12, 3.0, 3, 5)
+        cands = tuple(g.vertices)
+        store = enumerate_paths(g, cands, 1, 4)
+        size = len(store)
+        # paths are stored from their smaller end, so the last source that
+        # adds paths is the second largest; its paths must be counted too
+        assert store.vertices(size - 1)[0] == cands[-2]
+        monkeypatch.setattr(pathindex, "MAX_PATHS", size)
+        assert len(enumerate_paths(g, cands, 1, 4)) == size
+        monkeypatch.setattr(pathindex, "MAX_PATHS", size - 1)
+        with pytest.raises(IndexTooLarge, match=f"budget of {size - 1:,} stored paths"):
+            enumerate_paths(g, cands, 1, 4)
+        assert issubclass(IndexTooLarge, ValueError)
+
+    def test_wide_window_ends_with_the_typed_error_not_memory_error(self):
+        # 300 vertices of average degree 12 hold about 28 million paths of
+        # length 1..5 between the 258 candidates.  Under a 1.5 GiB
+        # address-space limit of its own, the build must stop at the path
+        # budget before it runs out of memory.
+        code = textwrap.dedent("""
+            import resource
+            limit = 3 * 2**29
+            resource.setrlimit(resource.RLIMIT_AS,
+                               (limit, resource.getrlimit(resource.RLIMIT_AS)[1]))
+            from homeomatch import IndexTooLarge, MatchState, random_labeled_graph
+            from homeomatch.bench import PatternSource, _generated_pattern
+            g1 = _generated_pattern(PatternSource(n1=5, m1=4.0), 6, 3)
+            g2 = random_labeled_graph(300, 12.0, 6, 2)
+            try:
+                MatchState.create(g1, g2, 1, 5)
+            except IndexTooLarge:
+                print("IndexTooLarge")
+            """)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert (done.returncode, done.stdout) == (0, "IndexTooLarge\n"), done.stderr[-2000:]
 
 
 class TestRemovalAndUndo:

@@ -288,8 +288,9 @@ class TestDetermination:
                 fn(worked_pattern, worked_data, 0, 2)
             with pytest.raises(ValueError):
                 fn(worked_pattern, worked_data, 2, 1)
-            with pytest.raises(ValueError, match="cap"):
-                fn(worked_pattern, worked_data, 1, 9)
+            # h is not capped: a window as long as the data graph answers
+            w = fn(worked_pattern, worked_data, 1, 9)
+            assert w is not None and verify_mapping(worked_pattern, worked_data, 1, 9, w)
 
     def test_non_int_window_is_rejected(self):
         # a 2.5 window once let through a path of length 3, which the
@@ -335,6 +336,18 @@ class TestDetermination:
                 fn(worked_pattern, worked_data, 2, 2, config=cfg)
         assert built == []
         assert search.SearchTimeout is pathindex.SearchTimeout is SearchTimeout
+
+    def test_deadline_holds_inside_one_source_of_the_index_build(self):
+        # Only data vertices 1 and 2 are candidates, and at h = 8 the DFS
+        # from vertex 1 alone would run for hours: the deadline must be
+        # polled inside a source's DFS, not only between sources.
+        g = random_labeled_graph(300, 12.0, 6, 2)
+        data = LabeledGraph(g.n, {v: {1: "a", 2: "b"}.get(v, "c") for v in g.vertices}, g.edges)
+        pattern = LabeledGraph(2, {1: "a", 2: "b"}, [(1, 2)])
+        t0 = time.monotonic()
+        with pytest.raises(SearchTimeout, match="path-index build"):
+            ndshd1(pattern, data, 1, 8, config=SearchConfig(deadline=t0 + 1.0))
+        assert time.monotonic() - t0 < 2.0
 
     def test_passed_deadline_raises_in_refinement(self, worked_pattern, worked_data):
         s = MatchState.create(worked_pattern, worked_data, 2, 2)
@@ -856,6 +869,39 @@ def test_no_refinement_runs_on_a_pushed_state_with_an_empty_row():
         for strategy in ("ndshd1", "ndshd2"):
             list(enumerate_all(g1, g2, l, h, strategy=strategy))
     assert emptied
+    assert wasted == []
+
+
+def test_no_refinement_runs_on_a_pushed_state_with_a_pathless_pending_edge():
+    """A push whose kills leave a pending edge without an alive path
+    returns the state dead without refining it."""
+    g1 = random_labeled_graph(3, 2.0, 3, 61)
+    g2 = random_labeled_graph(9, 3.0, 3, 60)
+    real_refine = MatchState.refine_compatibility
+    pathless, wasted = [], []
+
+    def has_pathless_edge(state):
+        return any(not state.store.pair_count(a, b) for a, b in state.pending)
+
+    def recording(real_push):
+        def push(self, *args):
+            dead = real_push(self, *args)
+            if has_pathless_edge(self):
+                pathless.append(args)
+            return dead
+        return push
+
+    def refine(self, hints=()):
+        if self.depth and has_pathless_edge(self):
+            wasted.append(hints)
+        return real_refine(self, hints)
+
+    with mock.patch.object(MatchState, "push_node_match", recording(MatchState.push_node_match)), \
+            mock.patch.object(MatchState, "push_path_match", recording(MatchState.push_path_match)), \
+            mock.patch.object(MatchState, "refine_compatibility", refine):
+        witnesses = list(enumerate_all(g1, g2, 1, 2, strategy="ndshd1"))
+    assert len(witnesses) == 8
+    assert pathless
     assert wasted == []
 
 
