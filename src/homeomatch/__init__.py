@@ -30,7 +30,6 @@ from .pathindex import (
 from .search import (
     CompatibleMatrix,
     MatchState,
-    SearchConfig,
     SearchStats,
     SearchTimeout,
     enumerate_all,
@@ -57,7 +56,6 @@ __all__ = [
     "enumerate_paths",
     "CompatibleMatrix",
     "MatchState",
-    "SearchConfig",
     "SearchStats",
     "SearchTimeout",
     "IndexTooLarge",

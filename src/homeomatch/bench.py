@@ -50,7 +50,7 @@ import time
 from dataclasses import dataclass, field, fields, replace
 
 from .graph import LabeledGraph, check_random_graph_args, check_window, load_graph, random_labeled_graph
-from .search import STRATEGIES, SearchConfig, SearchStats, SearchTimeout, ndshd1, ndshd2
+from .search import STRATEGIES, SearchStats, SearchTimeout, ndshd1, ndshd2
 
 __all__ = [
     "PatternSource",
@@ -58,6 +58,7 @@ __all__ = [
     "ExperimentSpec",
     "RUN_FIELDS",
     "SUMMARY_FIELDS",
+    "iter_runs",
     "run_experiment",
     "write_runs_csv",
     "write_summary_csv",
@@ -254,13 +255,12 @@ def _instance(psrc: PatternSource, dsrc: DataSource, pattern_seed: int,
     return g1, g2
 
 
-def run_experiment(spec: ExperimentSpec):
-    """Execute the whole sweep; returns (run rows, summary rows).
+def iter_runs(spec: ExperimentSpec):
+    """Execute the whole sweep, yielding each run's row as it finishes.
 
-    Rows come back in deterministic sweep order.
+    Rows come in deterministic sweep order.
     """
     spec.validate()
-    rows = []
     for idx, value in enumerate(spec.sweep_values or (None,)):
         point = _sweep_point(spec, value)
         psrc, dsrc, l, h = point.pattern, point.data, point.l, point.h
@@ -269,11 +269,11 @@ def run_experiment(spec: ExperimentSpec):
             pattern_seed, data_seed = 2 * base + 1, 2 * base
             g1, g2 = _instance(psrc, dsrc, pattern_seed, data_seed)
             for algo in spec.algorithms():
-                config = SearchConfig(deadline=time.monotonic() + spec.timeout_s)
+                deadline = time.monotonic() + spec.timeout_s
                 stats = SearchStats()
                 fn = ndshd1 if algo == "ndshd1" else ndshd2
                 try:
-                    mapping = fn(g1, g2, l, h, config=config, stats=stats)
+                    mapping = fn(g1, g2, l, h, deadline=deadline, stats=stats)
                     outcome = "true" if mapping is not None else "false"
                 except SearchTimeout:
                     outcome = "timeout"
@@ -300,7 +300,12 @@ def run_experiment(spec: ExperimentSpec):
                     "mean_backtrack_depth": stats.mean_backtrack_depth,
                     "states_explored": stats.states_explored,
                 }
-                rows.append(row)
+                yield row
+
+
+def run_experiment(spec: ExperimentSpec):
+    """Execute the whole sweep; returns (run rows, summary rows)."""
+    rows = list(iter_runs(spec))
     return rows, summarize(spec.name, rows)
 
 

@@ -21,7 +21,7 @@ import json
 import sys
 
 from . import __version__
-from .bench import ExperimentSpec, format_summary_table, run_experiment, write_runs_csv, write_summary_csv
+from .bench import ExperimentSpec, format_summary_table, iter_runs, summarize, write_runs_csv, write_summary_csv
 from .graph import GraphFormatError, load_graph, plant_subdivision, random_labeled_graph, save_graph
 from .mapping import Mapping
 from .oracle import brute_force_solve, verify_mapping
@@ -139,8 +139,16 @@ def cmd_solve(args) -> int:
 def cmd_bench(args) -> int:
     spec = ExperimentSpec.load(args.spec)
     include_timing = not args.no_timing
-    rows, summary = run_experiment(spec)
-    write_runs_csv(args.out, rows, include_timing=include_timing)
+    rows = []
+
+    # Each row is written as its run ends, so a failing run keeps the rows before it.
+    def finished():
+        for row in iter_runs(spec):
+            rows.append(row)
+            yield row
+
+    write_runs_csv(args.out, finished(), include_timing=include_timing)
+    summary = summarize(spec.name, rows)
     summary_path = args.summary or (args.out + ".summary.csv")
     write_summary_csv(summary_path, summary, include_timing=include_timing)
     print(format_summary_table(summary, include_timing=include_timing))

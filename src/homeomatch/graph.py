@@ -46,7 +46,8 @@ class GraphFormatError(ValueError):
 class LabeledGraph:
     """Immutable simple undirected graph with one label per vertex.
 
-    Vertices are the integers ``1..n``.  A label is a non-empty string
+    Vertices are the integers ``1..n``; an edge end or a label key that
+    is not an int, or is a bool, is rejected.  A label is a non-empty string
     without whitespace, so that the text format can hold it.  Instances
     never mutate after construction, so they are safe to share between
     concurrent searches.
@@ -60,6 +61,8 @@ class LabeledGraph:
         self.n = n
         lab = {}
         for v, token in dict(labels).items():
+            if type(v) is not int:
+                raise ValueError(f"label given for vertex id {v!r}, which is not an int")
             if not 1 <= v <= n:
                 raise ValueError(f"label given for unknown vertex {v}")
             label = lab[v] = str(token)
@@ -71,6 +74,8 @@ class LabeledGraph:
         self._labels = tuple(lab[v] for v in range(1, n + 1))
         seen = set()
         for u, w in edges:
+            if type(u) is not int or type(w) is not int:
+                raise ValueError(f"edge ({u!r}, {w!r}) has an end that is not an int")
             if not 1 <= u <= n or not 1 <= w <= n:
                 raise ValueError(f"edge ({u}, {w}) references an unknown vertex")
             if u == w:

@@ -79,7 +79,7 @@ from .pathindex import SearchTimeout, candidate_branch_nodes, enumerate_paths
 
 __all__ = [
     "SearchTimeout",
-    "SearchConfig",
+    "WITNESS_CAP",
     "SearchStats",
     "CompatibleMatrix",
     "MatchState",
@@ -91,27 +91,16 @@ __all__ = [
 
 STRATEGIES = ("ndshd1", "ndshd2")
 
+# Path attempts one witness pick may spend on a cell; past them refinement
+# keeps the cell, so the cap never changes the solution set.
+WITNESS_CAP = 10_000
 
-@dataclass
-class SearchConfig:
-    """The witness cap and the deadline of one search.
 
-    ``witness_cap`` bounds the work refinement spends on one cell: it
-    counts path attempts of the witness pick, one per path tried, in
-    requirement order and in ascending path id within each requirement
-    (see ``MatchState.refine_compatibility``).  A cell whose pick runs
-    past the cap is kept, so the cap never changes the solution set.
-    """
-
-    witness_cap: int = 10_000
-    deadline: float | None = None
-
-    def __post_init__(self):
-        if type(self.witness_cap) is not int or self.witness_cap < 0:
-            raise ValueError(f"witness_cap must be an int >= 0, not {self.witness_cap!r}")
-        d = self.deadline
-        if d is not None and (type(d) not in (int, float) or math.isnan(d)):
-            raise ValueError(f"deadline must be a number other than NaN, or None, not {d!r}")
+def _check_limits(l, h, deadline):
+    """Reject a bad window, and a deadline that is NaN or not a number."""
+    check_window(l, h)
+    if deadline is not None and (type(deadline) not in (int, float) or math.isnan(deadline)):
+        raise ValueError(f"deadline must be a number other than NaN, or None, not {deadline!r}")
 
 
 @dataclass
@@ -185,8 +174,6 @@ class CompatibleMatrix:
         node are pairwise independent, so at most degree(j) of them can
         start there.
         """
-        if g1.n == 0 or g2.n == 0:
-            raise ValueError("initial matrix requires nonempty graphs")
         m = cls(g1.n)
         by_label: dict[str, list[int]] = {}
         for j in g2.vertices:
@@ -245,11 +232,11 @@ class MatchState:
     """
 
     def __init__(self, g1: LabeledGraph, matrix: CompatibleMatrix, store,
-                 config: SearchConfig | None = None):
+                 deadline: float | None = None):
         self.g1 = g1
         self.matrix = matrix
         self.store = store
-        self.config = config or SearchConfig()
+        self.deadline = deadline  # a time.monotonic() value, or None
         self.node_image: dict[int, int] = {}
         self.path_of_edge: dict[tuple[int, int], int] = {}
         # image pair (a, b), a < b -> the pending pattern edge between its preimages
@@ -267,13 +254,12 @@ class MatchState:
 
     @classmethod
     def create(cls, g1: LabeledGraph, g2: LabeledGraph, l: int, h: int,
-               config: SearchConfig | None = None) -> "MatchState":
-        config = config or SearchConfig()
-        check_window(l, h)
+               deadline: float | None = None) -> "MatchState":
+        _check_limits(l, h, deadline)
         matrix = CompatibleMatrix.initial(g1, g2)
         cands = candidate_branch_nodes(matrix)
-        store = enumerate_paths(g2, cands, l, h, deadline=config.deadline)
-        return cls(g1, matrix, store, config)
+        store = enumerate_paths(g2, cands, l, h, deadline=deadline)
+        return cls(g1, matrix, store, deadline)
 
     @property
     def depth(self) -> int:
@@ -473,8 +459,8 @@ class MatchState:
         its current row).  The pick tries the matched neighbours' path
         lists first, shortest first, then the unmatched neighbours in
         ``g1.neighbors`` order, each list in ascending path id; every path
-        tried costs one unit of ``witness_cap``, and a cell whose pick
-        runs past the cap is conservatively kept.
+        tried costs one unit of ``WITNESS_CAP``, read once per pass, and
+        a cell whose pick runs past the cap is conservatively kept.
 
         Rows are visited in one order: the unmatched neighbours of the
         ``hints`` vertices first, then the other unmatched rows in
@@ -490,7 +476,7 @@ class MatchState:
         if they come after it.  Reach sets are symmetric, so the cells
         outside the reach set of some matched neighbour's image are
         cleared without a pick.  The cells a scan clears are bound as one
-        new row.  The configured deadline is polled once per row scanned.
+        new row.  The state's deadline is polled once per row scanned.
         """
         adj = self.g1._adj
         rows = self.matrix.rows
@@ -508,8 +494,8 @@ class MatchState:
         heap = [first.get(i, i) for i in dirty]
         heapify(heap)
         reach = store.reachable_from
-        has_witnesses, cap = store.has_witnesses, self.config.witness_cap
-        deadline = self.config.deadline
+        has_witnesses, cap = store.has_witnesses, WITNESS_CAP
+        deadline = self.deadline
         while heap:
             if deadline is not None and time.monotonic() > deadline:
                 raise SearchTimeout("matrix refinement exceeded its deadline")
@@ -578,7 +564,7 @@ class _Engine:
         self.state = state
         self.two_level = strategy == "ndshd1"
         self.stats = stats
-        self._deadline = state.config.deadline
+        self._deadline = state.deadline
 
     def solutions(self):
         """Generator of complete mappings; closing it restores the state."""
@@ -691,41 +677,40 @@ class _Engine:
         return Mapping(node_map, dict(sorted(edge_paths.items())))
 
 
-def _check_call(strategy, l, h):
+def _check_call(strategy, l, h, deadline):
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
-    check_window(l, h)
+    _check_limits(l, h, deadline)
 
 
-def _witnesses(g1, g2, l, h, strategy, config, stats):
-    """Argument checks, empty graphs and timed set-up and search of one call."""
+def _witnesses(g1, g2, l, h, strategy, deadline, stats):
+    """Argument checks and the timed set-up and search of one call.
+
+    The outcome is True once a witness was emitted, False when the
+    search ran to its end without one, and None when it did neither, as
+    when the deadline cuts it.
+    """
     stats = stats if stats is not None else SearchStats()
-    _check_call(strategy, l, h)
-    if g1.n == 0:
-        stats.outcome = True
-        yield Mapping({}, {})
-        return
-    if g2.n == 0:
-        stats.outcome = False
-        return
+    _check_call(strategy, l, h, deadline)
     t0 = time.perf_counter()
-    state = MatchState.create(g1, g2, l, h, config)
+    state = MatchState.create(g1, g2, l, h, deadline)
     stats.setup_time = time.perf_counter() - t0
     gen = _Engine(state, strategy, stats).solutions()
-    emitted = 0
+    outcome = None  # True at the first witness, False if the search ends without one
     t1 = time.perf_counter()
     try:
         for mapping in gen:
-            emitted += 1
+            outcome = True
             yield mapping
+        outcome = bool(outcome)
     finally:
         gen.close()
         stats.wall_time = time.perf_counter() - t1
-        stats.outcome = emitted > 0
+        stats.outcome = outcome
 
 
-def _first_solution(g1, g2, l, h, strategy, config, stats) -> Mapping | None:
-    run = _witnesses(g1, g2, l, h, strategy, config, stats)
+def _first_solution(g1, g2, l, h, strategy, deadline, stats) -> Mapping | None:
+    run = _witnesses(g1, g2, l, h, strategy, deadline, stats)
     try:
         return next(run, None)
     finally:
@@ -733,47 +718,49 @@ def _first_solution(g1, g2, l, h, strategy, config, stats) -> Mapping | None:
 
 
 def ndshd1(g1: LabeledGraph, g2: LabeledGraph, l: int, h: int, *,
-           config: SearchConfig | None = None,
+           deadline: float | None = None,
            stats: SearchStats | None = None) -> Mapping | None:
     """First witness found by the two-level strategy, or None.
 
     The node mapping is completed before any edge-path is tried; an
     unsatisfiable edge-path level backtracks into the node level, so the
-    answer is exact.
+    answer is exact.  ``deadline`` is a ``time.monotonic()`` value past
+    which set-up or search raises ``SearchTimeout``.
     """
-    return _first_solution(g1, g2, l, h, "ndshd1", config, stats)
+    return _first_solution(g1, g2, l, h, "ndshd1", deadline, stats)
 
 
 def ndshd2(g1: LabeledGraph, g2: LabeledGraph, l: int, h: int, *,
-           config: SearchConfig | None = None,
+           deadline: float | None = None,
            stats: SearchStats | None = None) -> Mapping | None:
     """First witness found by the interleaved strategy, or None.
 
     After each node match the edges it completes are path-matched
     immediately, which detects dead ends far earlier on dense data
     graphs.  The determination agrees with ``ndshd1`` on every input.
+    ``deadline`` is as for ``ndshd1``.
     """
-    return _first_solution(g1, g2, l, h, "ndshd2", config, stats)
+    return _first_solution(g1, g2, l, h, "ndshd2", deadline, stats)
 
 
 def enumerate_all(g1: LabeledGraph, g2: LabeledGraph, l: int, h: int, *,
                   limit: int | None = None, strategy: str = "ndshd2",
-                  config: SearchConfig | None = None,
+                  deadline: float | None = None,
                   stats: SearchStats | None = None):
     """Yield every distinct complete witness, stopping early at ``limit``.
 
     Distinctness is by node map plus edge-to-path assignment; the
     search tree branches on disjoint choices, so no duplicates arise.
-    An unknown strategy, an invalid window or a ``limit`` that is neither
-    None nor an int raises ``ValueError`` at the first ``next``, whatever
-    the graphs.
+    An unknown strategy, an invalid window or deadline, or a ``limit``
+    that is neither None nor an int raises ``ValueError`` at the first
+    ``next``, whatever the graphs.
     """
     if limit is not None and type(limit) is not int:
         raise ValueError(f"limit must be an int or None, not {limit!r}")
     if limit is not None and limit <= 0:
-        _check_call(strategy, l, h)
+        _check_call(strategy, l, h, deadline)
         return
-    run = _witnesses(g1, g2, l, h, strategy, config, stats)
+    run = _witnesses(g1, g2, l, h, strategy, deadline, stats)
     try:
         for emitted, mapping in enumerate(run, 1):
             yield mapping

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from homeomatch import bench
+from homeomatch import bench, pathindex
 from homeomatch.bench import (
     DataSource,
     ExperimentSpec,
@@ -268,6 +268,25 @@ class TestBenchCommand:
         out = tmp_path / "runs.csv"
         assert main(["bench", str(spec), "--out", str(out), "--no-timing"]) == 0
         assert out.read_bytes() == (DATA_DIR / f"sweep_{variable}.csv").read_bytes()
+
+    def test_runs_before_an_over_budget_point_are_written(self, tmp_path, capsys, monkeypatch):
+        # The h = 4 index exceeds the patched budget; the h = 1 and h = 2
+        # runs before it keep their rows, and no summary is written.
+        monkeypatch.setattr(pathindex, "MAX_PATHS", 300)
+        spec = {"name": "budget", "pattern": {"n1": 3, "m1": 2.0},
+                "data": {"n2": 60, "m2": 4.0, "labels": 5}, "l": 1}
+        runs = {}
+        for values in ([1, 2, 4], [1, 2]):
+            path = tmp_path / "spec.json"
+            path.write_text(json.dumps({**spec, "sweep": {"variable": "h", "values": values}}))
+            runs[len(values)] = out = tmp_path / f"runs_{len(values)}.csv"
+            rc = main(["bench", str(path), "--out", str(out), "--no-timing"])
+            assert rc == (2 if len(values) == 3 else 0)
+        err = capsys.readouterr().err
+        assert "error: the path index exceeds its budget of 300 stored paths" in err
+        assert not (tmp_path / "runs_3.csv.summary.csv").exists()
+        assert runs[3].read_bytes() == runs[2].read_bytes()
+        assert len(runs[2].read_text().splitlines()) == 1 + 4
 
     def test_cli_bench_unknown_spec_key_is_exit_two(self, tmp_path, capsys):
         # specs written for older versions may still carry "order"

@@ -108,6 +108,13 @@ def test_graph_constructor_rejects_bad_input():
         LabeledGraph(2, {1: "a"}, [])
     with pytest.raises(ValueError, match="unknown vertex"):
         LabeledGraph(2, {1: "a", 2: "b"}, [(1, 3)])
+    # save_graph would write these ids, and load_graph reject them
+    for edge in ((True, 2), (1, 2.0), (1.0, 2), ("1", 2)):
+        with pytest.raises(ValueError, match="not an int"):
+            LabeledGraph(3, {1: "a", 2: "b", 3: "c"}, [edge])
+    for key in (1.0, True, "1"):
+        with pytest.raises(ValueError, match="not an int"):
+            LabeledGraph(1, {key: "a"}, [])
     for n in (-1, 2.5, True, "2"):
         with pytest.raises(ValueError, match="vertex count must be an int"):
             LabeledGraph(n, {}, [])

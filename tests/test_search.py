@@ -1,4 +1,5 @@
 import copy
+import functools
 import hashlib
 import gc
 import random
@@ -16,7 +17,6 @@ from homeomatch import (
     Mapping,
     MatchState,
     plant_subdivision,
-    SearchConfig,
     SearchStats,
     SearchTimeout,
     enumerate_all,
@@ -68,10 +68,11 @@ class TestInitialCompatibleMatrix:
                               and g1.degree(i) <= g2.degree(j))
                     assert m0.get(i, j) == expect
 
-    def test_requires_nonempty_graphs(self):
-        g = LabeledGraph(1, {1: "a"}, [])
-        with pytest.raises(ValueError):
-            CompatibleMatrix.initial(LabeledGraph(0, {}, []), g)
+    def test_empty_graphs_give_empty_rows(self):
+        g, empty = LabeledGraph(1, {1: "a"}, []), LabeledGraph(0, {}, [])
+        assert CompatibleMatrix.initial(empty, g).rows == [frozenset()]
+        assert CompatibleMatrix.initial(g, empty).rows == [frozenset(), frozenset()]
+        assert CompatibleMatrix.initial(empty, empty).ones() == 0
 
 
 class TestStatePredicates:
@@ -267,14 +268,27 @@ class TestDetermination:
             assert w is not None and w.node_map == {1: 2}
 
     def test_empty_pattern_is_trivially_contained(self, worked_data):
+        # ndshd1 enters its edge level after the empty node level
         empty = LabeledGraph(0, {}, [])
-        for fn in (ndshd1, ndshd2):
-            w = fn(empty, worked_data, 1, 2)
-            assert w == Mapping({}, {})
+        for g2 in (worked_data, empty):
+            for fn, states in ((ndshd1, 2), (ndshd2, 1)):
+                stats = SearchStats()
+                assert fn(empty, g2, 1, 2, stats=stats) == Mapping({}, {})
+                assert (stats.outcome, stats.states_explored) == (True, states)
+            for strategy in ("ndshd1", "ndshd2"):
+                found = list(enumerate_all(empty, g2, 1, 2, strategy=strategy))
+                assert found == [Mapping({}, {})]
 
     def test_empty_data_graph(self):
-        pattern = LabeledGraph(1, {1: "a"}, [])
-        assert ndshd1(pattern, LabeledGraph(0, {}, []), 1, 1) is None
+        empty = LabeledGraph(0, {}, [])
+        for pattern in (LabeledGraph(1, {1: "a"}, []),
+                        LabeledGraph(2, {1: "a", 2: "b"}, [(1, 2)])):
+            for fn in (ndshd1, ndshd2):
+                stats = SearchStats()
+                assert fn(pattern, empty, 1, 1, stats=stats) is None
+                assert (stats.outcome, stats.states_explored) == (False, 1)
+            for strategy in ("ndshd1", "ndshd2"):
+                assert list(enumerate_all(pattern, empty, 1, 1, strategy=strategy)) == []
 
     def test_edgeless_pattern_reduces_to_node_assignment(self):
         pattern = LabeledGraph(2, {1: "a", 2: "a"}, [])
@@ -305,20 +319,29 @@ class TestDetermination:
                 list(enumerate_all(g1, g2, l, h))
         assert ndshd2(g1, g2, 1, 3) is not None
 
-    @pytest.mark.parametrize("field, value", [
-        ("witness_cap", -1), ("witness_cap", 2.5), ("witness_cap", True),
-        ("deadline", float("nan")), ("deadline", "x"), ("deadline", True)])
-    def test_config_rejects_invalid_fields(self, field, value):
-        # A negative cap would turn off the witness pick, a NaN deadline
-        # would never fire, and a non-number one fails only mid-search.
-        with pytest.raises(ValueError, match=field):
-            SearchConfig(**{field: value})
-        assert SearchConfig(witness_cap=0, deadline=0.0).witness_cap == 0
+    @pytest.mark.parametrize("deadline", [float("nan"), "x", True],
+                             ids=["deadline-nan", "deadline-x", "deadline-True"])
+    def test_config_rejects_invalid_fields(self, worked_pattern, worked_data, deadline):
+        # A NaN deadline would never fire, and a non-number one fails only
+        # mid-search.
+        empty = LabeledGraph(0, {}, [])
+        for g1, g2 in ((worked_pattern, worked_data), (empty, worked_data),
+                       (worked_pattern, empty)):
+            for fn in (ndshd1, ndshd2):
+                with pytest.raises(ValueError, match="deadline"):
+                    fn(g1, g2, 2, 2, deadline=deadline)
+            for limit in (None, 0, 1):
+                run = enumerate_all(g1, g2, 2, 2, limit=limit, deadline=deadline)
+                with pytest.raises(ValueError, match="deadline"):
+                    next(run)
+        with pytest.raises(ValueError, match="deadline"):
+            MatchState.create(worked_pattern, worked_data, 2, 2, deadline)
+        deadline = int(time.monotonic()) + 60
+        assert MatchState.create(worked_pattern, worked_data, 2, 2, deadline).deadline == deadline
 
     def test_timeout_raises(self, worked_pattern, worked_data):
-        cfg = SearchConfig(deadline=0.0)
         with pytest.raises(SearchTimeout):
-            ndshd1(worked_pattern, worked_data, 2, 2, config=cfg)
+            ndshd1(worked_pattern, worked_data, 2, 2, deadline=0.0)
 
     def test_passed_deadline_raises_before_the_index_is_built(
             self, worked_pattern, worked_data, monkeypatch):
@@ -330,10 +353,10 @@ class TestDetermination:
             return built[-1]
 
         monkeypatch.setattr(search, "enumerate_paths", recording)
-        cfg = SearchConfig(deadline=time.monotonic() - 1.0)
+        deadline = time.monotonic() - 1.0
         for fn in (ndshd1, ndshd2):
             with pytest.raises(SearchTimeout, match="path-index build"):
-                fn(worked_pattern, worked_data, 2, 2, config=cfg)
+                fn(worked_pattern, worked_data, 2, 2, deadline=deadline)
         assert built == []
         assert search.SearchTimeout is pathindex.SearchTimeout is SearchTimeout
 
@@ -346,13 +369,52 @@ class TestDetermination:
         pattern = LabeledGraph(2, {1: "a", 2: "b"}, [(1, 2)])
         t0 = time.monotonic()
         with pytest.raises(SearchTimeout, match="path-index build"):
-            ndshd1(pattern, data, 1, 8, config=SearchConfig(deadline=t0 + 1.0))
+            ndshd1(pattern, data, 1, 8, deadline=t0 + 1.0)
         assert time.monotonic() - t0 < 2.0
+
+    def test_timed_out_search_is_undecided(self, worked_pattern, worked_data, monkeypatch):
+        # A deadline that fires before any witness decides nothing; one
+        # that fires after the first witness leaves the answer True.
+        real_enter = search._Engine._enter
+
+        def expiring(when):
+            def enter(self):
+                if when(self):
+                    self._deadline = time.monotonic() - 1.0
+                real_enter(self)
+            return enter
+
+        for fn in (ndshd1, ndshd2):
+            stats = SearchStats()
+            with pytest.raises(SearchTimeout, match="path-index build"):
+                fn(worked_pattern, worked_data, 2, 2, deadline=time.monotonic() - 1.0,
+                   stats=stats)
+            assert stats.outcome is None
+            with monkeypatch.context() as m:
+                m.setattr(search._Engine, "_enter",
+                          expiring(lambda engine: engine.stats.states_explored >= 2))
+                stats = SearchStats()
+                with pytest.raises(SearchTimeout, match="search exceeded"):
+                    fn(worked_pattern, worked_data, 2, 2, stats=stats)
+            assert (stats.states_explored, stats.outcome) == (3, None)
+        pattern = LabeledGraph(2, {1: "a", 2: "a"}, [(1, 2)])
+        data = LabeledGraph(4, {v: "a" for v in range(1, 5)}, [(1, 2), (2, 3), (3, 4), (1, 4)])
+        expired = []
+        monkeypatch.setattr(search._Engine, "_enter", expiring(lambda engine: expired))
+        for strategy in ("ndshd1", "ndshd2"):
+            expired.clear()
+            stats = SearchStats()
+            run = enumerate_all(pattern, data, 1, 1, strategy=strategy, stats=stats)
+            assert next(run) is not None
+            expired.append(True)
+            with pytest.raises(SearchTimeout, match="search exceeded"):
+                next(run)
+            assert stats.outcome is True
 
     def test_passed_deadline_raises_in_refinement(self, worked_pattern, worked_data):
         s = MatchState.create(worked_pattern, worked_data, 2, 2)
         before = full_snapshot(s)
-        s.config.deadline = time.monotonic() - 1.0
+        s.deadline = time.monotonic() - 1.0
         with pytest.raises(SearchTimeout, match="refinement"):
             s.refine_compatibility()
         # a push whose refinement times out is undone before the error leaves
@@ -544,7 +606,7 @@ class TestSearchHygiene:
             "mean_backtrack_depth": mean_bt,
         }
 
-    # The inputs above at witness_cap=2, where the cap decides most kept
+    # The inputs above at a witness cap of 2, where the cap decides most kept
     # cells: (call, outcome, recursion_calls, states_explored, max_depth,
     # backtracks, mean_backtrack_depth, sha256 prefix of the trace written
     # as in GOLDEN_STATS), recorded before witness picking became one loop.
@@ -562,7 +624,6 @@ class TestSearchHygiene:
     def test_golden_stats_at_a_small_witness_cap(self, call, outcome, calls, states,
                                                  max_depth, backtracks, mean_bt, trace):
         stats = SearchStats(trace=[])
-        config = SearchConfig(witness_cap=2)
         if call in ("ndshd1", "ndshd2"):
             n = 40
             rng = random.Random(n)
@@ -570,12 +631,14 @@ class TestSearchHygiene:
                                    [(v, v + 1) for v in range(1, n)])
             data = plant_subdivision(pattern, 1, 2, padding=20, seed=n)
             fn = ndshd1 if call == "ndshd1" else ndshd2
-            assert fn(pattern, data, 1, 2, config=config, stats=stats) is not None
+            with mock.patch.object(search, "WITNESS_CAP", 2):
+                assert fn(pattern, data, 1, 2, stats=stats) is not None
         else:
             pattern = random_labeled_graph(5, 1.6, 2, 4)
             data = plant_subdivision(pattern, 2, 3, padding=8, seed=4)
-            found = list(enumerate_all(pattern, data, 2, 3, limit=50, config=config,
-                                       strategy=call.partition("/")[2], stats=stats))
+            with mock.patch.object(search, "WITNESS_CAP", 2):
+                found = list(enumerate_all(pattern, data, 2, 3, limit=50,
+                                           strategy=call.partition("/")[2], stats=stats))
             assert len(found) == 50
         got = stats.as_dict(include_timing=False)
         steps = " ".join(f"{phase[0]}{depth}" for _, depth, phase in got.pop("trace"))
@@ -658,32 +721,38 @@ def _instances(draw):
     return g1, g2, l, h
 
 
-def _configs(caps):
-    return st.builds(SearchConfig, witness_cap=st.sampled_from(caps))
+_CAPS = st.sampled_from([0, 1, search.WITNESS_CAP])
 
 
-_CONFIGS = _configs([0, 1, SearchConfig.witness_cap])
+def _with_drawn_cap(test):
+    """Run ``test(instance, cap)`` with ``search.WITNESS_CAP`` set to ``cap``."""
+    @functools.wraps(test)
+    def run(instance, cap):
+        with mock.patch.object(search, "WITNESS_CAP", cap):
+            test(instance, cap)
+    return run
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
-@given(instance=_instances(), config=_CONFIGS)
-def test_strategies_and_oracle_agree_under_every_config(instance, config):
+@given(instance=_instances(), cap=_CAPS)
+@_with_drawn_cap
+def test_strategies_and_oracle_agree_under_every_config(instance, cap):
     g1, g2, l, h = instance
     oracle = {m.canonical_key() for m in brute_force_solve(g1, g2, l, h)}
     for fn in (ndshd1, ndshd2):
-        w = fn(g1, g2, l, h, config=config)
+        w = fn(g1, g2, l, h)
         assert (w is not None) == bool(oracle)
         assert w is None or w.canonical_key() in oracle
     for strategy in ("ndshd1", "ndshd2"):
-        got = [m.canonical_key() for m in enumerate_all(g1, g2, l, h, strategy=strategy,
-                                                        config=config)]
+        got = [m.canonical_key() for m in enumerate_all(g1, g2, l, h, strategy=strategy)]
         assert len(got) == len(set(got))
         assert set(got) == oracle
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
-@given(instance=_instances(), config=_CONFIGS)
-def test_push_local_dead_check_matches_the_full_one(instance, config):
+@given(instance=_instances(), cap=_CAPS)
+@_with_drawn_cap
+def test_push_local_dead_check_matches_the_full_one(instance, cap):
     """Every push the engine makes returns the verdict of the full
     ``is_dead()`` on the state it leaves, though it looks only at what the
     push changed."""
@@ -700,9 +769,9 @@ def test_push_local_dead_check_matches_the_full_one(instance, config):
     with mock.patch.object(MatchState, "push_node_match", compared(real_node)), \
             mock.patch.object(MatchState, "push_path_match", compared(real_path)):
         for fn in (ndshd1, ndshd2):
-            fn(g1, g2, l, h, config=config)
+            fn(g1, g2, l, h)
         for strategy in ("ndshd1", "ndshd2"):
-            list(enumerate_all(g1, g2, l, h, strategy=strategy, config=config))
+            list(enumerate_all(g1, g2, l, h, strategy=strategy))
 
 
 # Root refinement clears data vertex 3 from row 1, keeps row 2 and then
@@ -729,24 +798,26 @@ _SEARCHES = (("ndshd1", True), ("ndshd2", True), ("ndshd2", False), ("ndshd1", F
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
-@given(instance=_instances(), config=_CONFIGS)
-@example(instance=_DEAD_ROOT, config=SearchConfig())
-def test_one_state_serves_several_searches(instance, config):
+@given(instance=_instances(), cap=_CAPS)
+@example(instance=_DEAD_ROOT, cap=search.WITNESS_CAP)
+@_with_drawn_cap
+def test_one_state_serves_several_searches(instance, cap):
     """Searches run one after another on one state each give the witnesses
     and the counters of a fresh state, in the same order, and leave the
     state, its dirty map included, as a fresh one's."""
     g1, g2, l, h = instance
-    shared = MatchState.create(g1, g2, l, h, config)
+    shared = MatchState.create(g1, g2, l, h)
     for strategy, first_only in _SEARCHES:
-        fresh = MatchState.create(g1, g2, l, h, config)
+        fresh = MatchState.create(g1, g2, l, h)
         assert (_run_engine(shared, strategy, first_only)
                 == _run_engine(fresh, strategy, first_only))
         assert full_snapshot(shared) == full_snapshot(fresh)
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
-@given(instance=_instances(), config=_CONFIGS)
-def test_pop_gives_back_the_dirty_map_and_rows_its_push_found(instance, config):
+@given(instance=_instances(), cap=_CAPS)
+@_with_drawn_cap
+def test_pop_gives_back_the_dirty_map_and_rows_its_push_found(instance, cap):
     """Every pop puts back exactly the dirty map and the rows that its push
     found, and a finished or closed search leaves the map and the rows that
     its root found."""
@@ -769,7 +840,7 @@ def test_pop_gives_back_the_dirty_map_and_rows_its_push_found(instance, config):
             mock.patch.object(MatchState, "push_path_match", recording(real_path)), \
             mock.patch.object(MatchState, "pop", checked_pop):
         for strategy, first_only in _SEARCHES:
-            state = MatchState.create(g1, g2, l, h, config)
+            state = MatchState.create(g1, g2, l, h)
             root = (copy.copy(state._dirty), state.matrix.snapshot())
             _run_engine(state, strategy, first_only)
             assert not found
@@ -782,7 +853,7 @@ def _assert_clean_cells_are_supported(state):
     a row outside the dirty map, and the cells of a row outside its pending
     set."""
     g1, rows, img, store = state.g1, state.matrix.rows, state.node_image, state.store
-    cap = state.config.witness_cap
+    cap = search.WITNESS_CAP
     for i in g1.vertices:
         pending = state._dirty.get(i, frozenset())
         if i in img or pending is None or not g1.neighbors(i):
@@ -810,9 +881,10 @@ _STRIPPED_EMPTY = (
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
-@given(instance=_instances(), config=_CONFIGS)
-@example(instance=_STRIPPED_EMPTY, config=SearchConfig())
-def test_refinement_rechecks_only_pending_cells(instance, config):
+@given(instance=_instances(), cap=_CAPS)
+@example(instance=_STRIPPED_EMPTY, cap=search.WITNESS_CAP)
+@_with_drawn_cap
+def test_refinement_rechecks_only_pending_cells(instance, cap):
     """At every refinement of a search, every cell it would not re-check is
     supported, and the pass that re-checks only the pending cells clears
     exactly the cells, and returns the verdict, of a pass with every cell
@@ -837,9 +909,9 @@ def test_refinement_rechecks_only_pending_cells(instance, config):
 
     with mock.patch.object(MatchState, "refine_compatibility", checked_refine):
         for fn in (ndshd1, ndshd2):
-            fn(g1, g2, l, h, config=config)
+            fn(g1, g2, l, h)
         for strategy in ("ndshd1", "ndshd2"):
-            list(enumerate_all(g1, g2, l, h, strategy=strategy, config=config))
+            list(enumerate_all(g1, g2, l, h, strategy=strategy))
     assert passes
 
 
@@ -986,37 +1058,39 @@ def _reference_pick(store, vj, images, rows, cap):
     return found, cap - budget[0]
 
 
-_WITNESS_CAPS = [0, 1, 2, 3, 5, SearchConfig.witness_cap]
+_WITNESS_CAPS = [0, 1, 2, 3, 5, search.WITNESS_CAP]
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
-@given(instance=_instances(), config=_configs(_WITNESS_CAPS))
-def test_witness_picker_matches_the_recursive_reference(instance, config):
+@given(instance=_instances(), cap=st.sampled_from(_WITNESS_CAPS))
+@_with_drawn_cap
+def test_witness_picker_matches_the_recursive_reference(instance, cap):
     """Every cell refinement checks gets the reference picker's verdict and
     spends as many units of the cap, at the search's own witness cap and at
     every other cap of the list."""
     g1, g2, l, h = instance
     real_pick = pathindex.PathStore.has_witnesses
 
-    def compared_pick(store, vj, images, rows, cap):
-        assert cap == config.witness_cap
+    def compared_pick(store, vj, images, rows, used):
+        assert used == cap
         for other in _WITNESS_CAPS:
             tries = store.witness_tries
             verdict = real_pick(store, vj, images, rows, other)
             assert (verdict, store.witness_tries - tries) == _reference_pick(
                 store, vj, images, rows, other), other
-        return real_pick(store, vj, images, rows, cap)
+        return real_pick(store, vj, images, rows, used)
 
     with mock.patch.object(pathindex.PathStore, "has_witnesses", compared_pick):
         for fn in (ndshd1, ndshd2):
-            fn(g1, g2, l, h, config=config)
+            fn(g1, g2, l, h)
         for strategy in ("ndshd1", "ndshd2"):
-            list(enumerate_all(g1, g2, l, h, strategy=strategy, config=config))
+            list(enumerate_all(g1, g2, l, h, strategy=strategy))
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
-@given(instance=_instances(), config=_CONFIGS)
-def test_pruning_keeps_candidates_valid(instance, config):
+@given(instance=_instances(), cap=_CAPS)
+@_with_drawn_cap
+def test_pruning_keeps_candidates_valid(instance, cap):
     """The search reads its candidates straight from the matrix rows and the
     alive paths, so the pruning must keep them valid.  After every push and
     every pop: no alive path has a matched vertex inside it, no alive path
@@ -1083,6 +1157,6 @@ def test_pruning_keeps_candidates_valid(instance, config):
             mock.patch.object(MatchState, "push_path_match", checked_push(real_path)), \
             mock.patch.object(MatchState, "pop", checked_pop):
         for fn in (ndshd1, ndshd2):
-            fn(g1, g2, l, h, config=config)
+            fn(g1, g2, l, h)
         for strategy in ("ndshd1", "ndshd2"):
-            list(enumerate_all(g1, g2, l, h, strategy=strategy, config=config))
+            list(enumerate_all(g1, g2, l, h, strategy=strategy))
