@@ -255,6 +255,11 @@ def _instance(psrc: PatternSource, dsrc: DataSource, pattern_seed: int,
     return g1, g2
 
 
+def _average_degree(g: LabeledGraph) -> float:
+    """2m/n, the quantity a generated graph's ``m1`` or ``m2`` sets; 0.0 when n = 0."""
+    return 2 * g.m / g.n if g.n else 0.0
+
+
 def iter_runs(spec: ExperimentSpec):
     """Execute the whole sweep, yielding each run's row as it finishes.
 
@@ -284,9 +289,9 @@ def iter_runs(spec: ExperimentSpec):
                     "repetition": rep,
                     "algo": algo,
                     "n1": g1.n,
-                    "m1": psrc.m1 if psrc.file is None else g1.m,
+                    "m1": psrc.m1 if psrc.file is None else _average_degree(g1),
                     "n2": dsrc.n2 if dsrc.file is None else g2.n,
-                    "m2": dsrc.m2 if dsrc.file is None else g2.m,
+                    "m2": dsrc.m2 if dsrc.file is None else _average_degree(g2),
                     "labels": dsrc.labels,
                     "l": l,
                     "h": h,

@@ -6,7 +6,7 @@ Subcommands:
     enumerate   stream every witness mapping
     gen         write random or planted instance files
     verify      check a mapping file against an instance
-    solve       exhaustive solving; --oracle switches to brute force
+    solve       list every witness by brute force (small instances only)
     bench       run an experiment spec and write CSV results
 
 Exit codes: 0 for a positive answer (or plain success), 1 for a
@@ -80,17 +80,23 @@ def cmd_determine(args) -> int:
     return EXIT_TRUE if mapping is not None else EXIT_FALSE
 
 
-def cmd_enumerate(args) -> int:
-    g1 = load_graph(args.pattern)
-    g2 = load_graph(args.data)
-    stats = _search_stats(args)
+def _print_mappings(mappings) -> int:
+    """Print each mapping as it comes, a blank line between two; return the count."""
     count = 0
-    for mapping in enumerate_all(g1, g2, args.l, args.h, limit=args.limit,
-                                 strategy=args.algo, stats=stats):
+    for mapping in mappings:
         if count:
             print()
         sys.stdout.write(mapping.to_text())
         count += 1
+    return count
+
+
+def cmd_enumerate(args) -> int:
+    g1 = load_graph(args.pattern)
+    g2 = load_graph(args.data)
+    stats = _search_stats(args)
+    count = _print_mappings(enumerate_all(g1, g2, args.l, args.h, limit=args.limit,
+                                          strategy=args.algo, stats=stats))
     if args.stats:
         _write_stats(args, stats)
     return EXIT_TRUE if count else EXIT_FALSE
@@ -122,18 +128,8 @@ def cmd_verify(args) -> int:
 def cmd_solve(args) -> int:
     g1 = load_graph(args.pattern)
     g2 = load_graph(args.data)
-    if args.oracle:
-        mappings = brute_force_solve(g1, g2, args.l, args.h)
-        if args.limit is not None:
-            mappings = mappings[:args.limit]
-    else:
-        mappings = list(enumerate_all(g1, g2, args.l, args.h, limit=args.limit,
-                                      strategy=args.algo))
-    for i, mapping in enumerate(mappings):
-        if i:
-            print()
-        sys.stdout.write(mapping.to_text())
-    return EXIT_TRUE if mappings else EXIT_FALSE
+    mappings = brute_force_solve(g1, g2, args.l, args.h)[:args.limit]
+    return EXIT_TRUE if _print_mappings(mappings) else EXIT_FALSE
 
 
 def cmd_bench(args) -> int:
@@ -202,13 +198,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_window_args(p)
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("solve", help="list all witnesses (search based, or --oracle)")
+    p = sub.add_parser("solve", help="list all witnesses by brute force (small instances only)")
     p.add_argument("pattern")
     p.add_argument("data")
     _add_window_args(p)
-    p.add_argument("--algo", choices=STRATEGIES, default="ndshd2")
-    p.add_argument("--oracle", action="store_true",
-                   help="use the guarded brute-force solver instead of the search")
     p.add_argument("--limit", type=_positive_int, help="print at most this many mappings")
     p.set_defaults(func=cmd_solve)
 

@@ -118,27 +118,57 @@ def bounded_simple_paths(g: LabeledGraph, u: int, w: int, l: int, h: int) -> lis
     if u == w:
         return []
     out: list[tuple[int, ...]] = []
-    path = [u]
-    seen = {u}
-
-    def walk(v: int, depth: int):
-        for x in g.neighbors(v):
-            if x in seen:
-                continue
-            nd = depth + 1
-            if x == w:
-                if nd >= l:
-                    out.append(tuple(path) + (w,))
-                continue
-            if nd < h:
-                path.append(x)
-                seen.add(x)
-                walk(x, nd)
-                path.pop()
-                seen.remove(x)
-
-    walk(u, 0)
+    _walk(g, w, l, h, [u], {u}, out)
     return out
+
+
+# The recursive helpers below are module functions, not nested closures: a
+# closure that calls itself sits in a reference cycle with its own cell,
+# which keeps everything it reaches alive until a cyclic garbage collection.
+
+def _walk(g: LabeledGraph, w: int, l: int, h: int, path: list, seen: set, out: list):
+    """Append to ``out`` every bounded simple path to w that extends ``path``."""
+    nd = len(path)
+    for x in g.neighbors(path[-1]):
+        if x in seen:
+            continue
+        if x == w:
+            if nd >= l:
+                out.append(tuple(path) + (w,))
+            continue
+        if nd < h:
+            path.append(x)
+            seen.add(x)
+            _walk(g, w, l, h, path, seen, out)
+            path.pop()
+            seen.remove(x)
+
+
+def _node_maps(candidates: dict, i: int, f: dict, used: set):
+    """Yield ``f`` extended injectively over vertices i..n1, in lexicographic order."""
+    if i > len(candidates):
+        yield f
+        return
+    for w in candidates[i]:
+        if w not in used:
+            f[i] = w
+            used.add(w)
+            yield from _node_maps(candidates, i + 1, f, used)
+            del f[i]
+            used.discard(w)
+
+
+def _independent_choices(opts: list, chosen: list):
+    """Yield ``chosen`` extended by one path per remaining list of ``opts``,
+    pairwise independent, in DFS order."""
+    if len(chosen) == len(opts):
+        yield chosen
+        return
+    for p in opts[len(chosen)]:
+        if all(_conflict_vertex(p, q) is None for q in chosen):
+            chosen.append(p)
+            yield from _independent_choices(opts, chosen)
+            chosen.pop()
 
 
 def brute_force_solve(g1: LabeledGraph, g2: LabeledGraph, l: int, h: int) -> list:
@@ -161,38 +191,18 @@ def brute_force_solve(g1: LabeledGraph, g2: LabeledGraph, l: int, h: int) -> lis
                   for v in g1.vertices}
     edges = g1.sorted_edges()
     found: list[Mapping] = []
-
-    def fill_paths(f, opts, k, chosen):
-        if k == len(edges):
-            m = Mapping(dict(f), {edges[i]: chosen[i] for i in range(len(edges))})
-            check = verify_mapping(g1, g2, l, h, m)
-            if not check:
-                raise AssertionError(f"enumerated an invalid mapping: {check.reason}")
-            found.append(m)
-            return
-        for p in opts[k]:
-            if all(_conflict_vertex(p, q) is None for q in chosen):
-                chosen.append(p)
-                fill_paths(f, opts, k + 1, chosen)
-                chosen.pop()
-
-    def fill_nodes(i, f, used):
-        if i > g1.n:
-            opts = []
-            for a, b in edges:
-                ps = bounded_simple_paths(g2, f[a], f[b], l, h)
-                if not ps:
-                    return
-                opts.append(ps)
-            fill_paths(f, opts, 0, [])
-            return
-        for w in candidates[i]:
-            if w not in used:
-                f[i] = w
-                used.add(w)
-                fill_nodes(i + 1, f, used)
-                del f[i]
-                used.discard(w)
-
-    fill_nodes(1, {}, set())
+    for f in _node_maps(candidates, 1, {}, set()):
+        opts = []
+        for a, b in edges:
+            ps = bounded_simple_paths(g2, f[a], f[b], l, h)
+            if not ps:
+                break
+            opts.append(ps)
+        else:
+            for chosen in _independent_choices(opts, []):
+                m = Mapping(dict(f), dict(zip(edges, chosen)))
+                check = verify_mapping(g1, g2, l, h, m)
+                if not check:
+                    raise AssertionError(f"enumerated an invalid mapping: {check.reason}")
+                found.append(m)
     return found

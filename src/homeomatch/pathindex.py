@@ -22,6 +22,7 @@ concurrently.  The number of bounded paths grows exponentially with
 
 from __future__ import annotations
 
+import math
 import time
 from collections import defaultdict
 from dataclasses import dataclass
@@ -314,6 +315,12 @@ class PathStore:
         return "\n".join(lines) + ("\n" if lines else "")
 
 
+def check_deadline(deadline):
+    """Reject a deadline that is NaN or not a number; None means no deadline."""
+    if deadline is not None and (type(deadline) not in (int, float) or math.isnan(deadline)):
+        raise ValueError(f"deadline must be a number other than NaN, or None, not {deadline!r}")
+
+
 def _poll(deadline: float | None, stored: int):
     """Raise once the build is past its deadline or over the path budget."""
     if deadline is not None and time.monotonic() > deadline:
@@ -338,13 +345,21 @@ def enumerate_paths(g2, candidates, l: int, h: int,
     raises ``SearchTimeout``, and with more than ``MAX_PATHS`` paths
     stored ``IndexTooLarge``.  The poll after the last source counts
     every path, so no store over the budget is built.
+
+    A candidate that is not an int, is a bool, is not a data vertex or
+    repeats raises ``ValueError``, as do a bad window and a deadline that
+    is NaN or not a number.
     """
     check_window(l, h)
+    check_deadline(deadline)
+    cand: set[int] = set()
     for v in candidates:
-        if not 1 <= v <= g2.n:
-            raise ValueError(f"candidate {v} is not a vertex of the data graph")
-    sources = tuple(sorted(candidates))
-    cand = frozenset(sources)
+        if type(v) is not int or not 1 <= v <= g2.n:
+            raise ValueError(f"candidate {v!r} is not a vertex of the data graph")
+        if v in cand:
+            raise ValueError(f"candidate {v} is repeated")
+        cand.add(v)
+    sources = tuple(sorted(cand))
     verts: list[tuple[int, ...]] = []
     by_pair: dict[tuple[int, int], list[int]] = {}
     adj = g2._adj  # hot loop; skips the per-call bounds check of neighbors()

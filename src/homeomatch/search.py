@@ -67,7 +67,6 @@ are never modified.
 
 from __future__ import annotations
 
-import math
 import time
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -75,7 +74,7 @@ from heapq import heapify, heappop, heappush
 
 from .graph import LabeledGraph, check_window
 from .mapping import Mapping
-from .pathindex import SearchTimeout, candidate_branch_nodes, enumerate_paths
+from .pathindex import SearchTimeout, candidate_branch_nodes, check_deadline, enumerate_paths
 
 __all__ = [
     "SearchTimeout",
@@ -99,8 +98,7 @@ WITNESS_CAP = 10_000
 def _check_limits(l, h, deadline):
     """Reject a bad window, and a deadline that is NaN or not a number."""
     check_window(l, h)
-    if deadline is not None and (type(deadline) not in (int, float) or math.isnan(deadline)):
-        raise ValueError(f"deadline must be a number other than NaN, or None, not {deadline!r}")
+    check_deadline(deadline)
 
 
 @dataclass
@@ -566,13 +564,23 @@ class _Engine:
         self.stats = stats
         self._deadline = state.deadline
 
-    def solutions(self):
-        """Generator of complete mappings; closing it restores the state."""
+    def solutions(self, limit: int | None = None):
+        """Generator of complete mappings, stopping after ``limit`` of them.
+
+        ``limit`` is None or an int of at least 1.  The search's time goes
+        to ``stats.wall_time`` and its outcome to ``stats.outcome``: True
+        once a witness was yielded, False when the search ran to its end
+        without one, and None when it did neither, as when the deadline
+        cuts it.  Closing the generator restores the state.
+        """
         s = self.state
         # The root saves its rows and dirty map as a push does; root
         # refinement edits the map in place, so the root keeps a copy.
         dirty, rows = s._dirty.copy(), s.matrix.snapshot()
         stack: list[_Frame] = []
+        emitted = 0
+        outcome = None
+        t0 = time.perf_counter()
         try:
             # One refinement pass before the first selection settles most
             # unsatisfiable instances in a single scan instead of once per
@@ -580,8 +588,13 @@ class _Engine:
             found = self._open(stack, "node", s.refine_compatibility())
             while True:
                 if found is not None:
+                    outcome = True
                     yield found
+                    emitted += 1
+                    if emitted == limit:
+                        return
                 if not stack:
+                    outcome = bool(outcome)
                     return
                 frame = stack[-1]
                 if frame.pushed:  # the subtree below the match is exhausted
@@ -607,6 +620,8 @@ class _Engine:
                     s.pop()
             s.matrix.restore(rows)
             s._dirty = dirty
+            self.stats.wall_time = time.perf_counter() - t0
+            self.stats.outcome = outcome
 
     def _open(self, stack, phase, dead: bool) -> Mapping | None:
         """Enter the root or the state after a push; stack its frame or return its mapping.
@@ -677,36 +692,25 @@ class _Engine:
         return Mapping(node_map, dict(sorted(edge_paths.items())))
 
 
-def _check_call(strategy, l, h, deadline):
+def _witnesses(g1, g2, l, h, strategy, deadline, stats, limit=None):
+    """Check the arguments, time the set-up, then yield the search's witnesses.
+
+    The checks run before anything else: ``limit``, which must be None or
+    an int, then the strategy, then the window and the deadline.  A
+    ``limit`` below 1 then yields nothing without a set-up.
+    """
+    if limit is not None and type(limit) is not int:
+        raise ValueError(f"limit must be an int or None, not {limit!r}")
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     _check_limits(l, h, deadline)
-
-
-def _witnesses(g1, g2, l, h, strategy, deadline, stats):
-    """Argument checks and the timed set-up and search of one call.
-
-    The outcome is True once a witness was emitted, False when the
-    search ran to its end without one, and None when it did neither, as
-    when the deadline cuts it.
-    """
+    if limit is not None and limit <= 0:
+        return
     stats = stats if stats is not None else SearchStats()
-    _check_call(strategy, l, h, deadline)
     t0 = time.perf_counter()
     state = MatchState.create(g1, g2, l, h, deadline)
     stats.setup_time = time.perf_counter() - t0
-    gen = _Engine(state, strategy, stats).solutions()
-    outcome = None  # True at the first witness, False if the search ends without one
-    t1 = time.perf_counter()
-    try:
-        for mapping in gen:
-            outcome = True
-            yield mapping
-        outcome = bool(outcome)
-    finally:
-        gen.close()
-        stats.wall_time = time.perf_counter() - t1
-        stats.outcome = outcome
+    yield from _Engine(state, strategy, stats).solutions(limit)
 
 
 def _first_solution(g1, g2, l, h, strategy, deadline, stats) -> Mapping | None:
@@ -751,20 +755,9 @@ def enumerate_all(g1: LabeledGraph, g2: LabeledGraph, l: int, h: int, *,
 
     Distinctness is by node map plus edge-to-path assignment; the
     search tree branches on disjoint choices, so no duplicates arise.
-    An unknown strategy, an invalid window or deadline, or a ``limit``
-    that is neither None nor an int raises ``ValueError`` at the first
-    ``next``, whatever the graphs.
+    The first ``limit`` witnesses are those of the unlimited run, in its
+    order.  An unknown strategy, an invalid window or deadline, or a
+    ``limit`` that is neither None nor an int raises ``ValueError`` at
+    the first ``next``, whatever the graphs.
     """
-    if limit is not None and type(limit) is not int:
-        raise ValueError(f"limit must be an int or None, not {limit!r}")
-    if limit is not None and limit <= 0:
-        _check_call(strategy, l, h, deadline)
-        return
-    run = _witnesses(g1, g2, l, h, strategy, deadline, stats)
-    try:
-        for emitted, mapping in enumerate(run, 1):
-            yield mapping
-            if emitted == limit:
-                return
-    finally:
-        run.close()
+    yield from _witnesses(g1, g2, l, h, strategy, deadline, stats, limit)

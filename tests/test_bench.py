@@ -186,13 +186,20 @@ class TestRunExperiment:
         assert [strip(r) for r in rows_a] == [strip(r) for r in rows_b]
 
     def test_pattern_file_source(self, tmp_path):
-        from conftest import DATA_DIR
-        spec = tiny_spec(pattern=PatternSource(file=str(DATA_DIR / "worked_pattern.graph")),
-                         data=DataSource(file=str(DATA_DIR / "worked_data.graph")),
-                         l=2, h=2, algo="ndshd1")
-        rows, _ = run_experiment(spec)
+        def file_spec(pattern):
+            return tiny_spec(pattern=PatternSource(file=str(pattern)),
+                             data=DataSource(file=str(DATA_DIR / "worked_data.graph")),
+                             l=2, h=2, algo="ndshd1")
+
+        rows, _ = run_experiment(file_spec(DATA_DIR / "worked_pattern.graph"))
         assert rows[0]["outcome"] == "true"
-        assert rows[0]["n1"] == 4
+        # a file graph's m1 and m2 are its average degree 2m/n, not its edge count
+        assert (rows[0]["n1"], rows[0]["m1"]) == (4, 2.5)
+        assert (rows[0]["n2"], rows[0]["m2"]) == (9, 22 / 9)
+        empty = tmp_path / "empty.graph"
+        empty.write_text("n 0 m 0\n")
+        rows, _ = run_experiment(file_spec(empty))
+        assert (rows[0]["outcome"], rows[0]["n1"], rows[0]["m1"]) == ("true", 0, 0.0)
 
     def test_summary_statistics(self):
         rows = [

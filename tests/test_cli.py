@@ -8,7 +8,7 @@ import pytest
 
 from homeomatch import GraphFormatError, Mapping, load_graph, pathindex, search
 from homeomatch.cli import main
-from homeomatch.oracle import verify_mapping
+from homeomatch.oracle import brute_force_solve, verify_mapping
 
 from conftest import DATA_DIR
 
@@ -88,8 +88,7 @@ class TestEnumerateAndSolve:
         assert rc == 0
         assert out.count("n 1 ") == 2  # two mapping blocks
 
-    @pytest.mark.parametrize("command,extra", [("enumerate", []), ("solve", []),
-                                               ("solve", ["--oracle"])])
+    @pytest.mark.parametrize("command,extra", [("enumerate", []), ("solve", [])])
     @pytest.mark.parametrize("limit", ["0", "-1"])
     def test_limit_below_one_is_exit_two(self, capsys, command, extra, limit):
         with pytest.raises(SystemExit) as exc:
@@ -99,28 +98,44 @@ class TestEnumerateAndSolve:
         assert captured.out == ""
         assert "--limit" in captured.err
 
-    @pytest.mark.parametrize("extra", [[], ["--oracle"]])
-    def test_solve_limit(self, capsys, extra):
-        # the worked example has 6 witnesses at (1, 3)
+    @pytest.mark.parametrize("extra", [[], ["--limit", "5"]])
+    def test_solve_limit(self, capsys, worked_pattern, worked_data, extra):
+        # the worked example has 6 witnesses at (1, 3); solve prints the
+        # oracle's, in its order, and a limit keeps the first ones
+        oracle = brute_force_solve(worked_pattern, worked_data, 1, 3)
+        assert len(oracle) == 6
+        shown = oracle[:int(extra[1])] if extra else oracle
         assert main(["solve", PATTERN, DATA, "--l", "1", "--h", "3"] + extra) == 0
-        assert capsys.readouterr().out.count("n 1 ") == 6
-        assert main(["solve", PATTERN, DATA, "--l", "1", "--h", "3", "--limit", "5"] + extra) == 0
-        assert capsys.readouterr().out.count("n 1 ") == 5
+        blocks = capsys.readouterr().out.split("\n\n")
+        assert [Mapping.parse(b) for b in blocks] == shown
 
     def test_solve_oracle_matches_search(self, capsys):
-        assert main(["solve", PATTERN, DATA, "--l", "2", "--h", "2", "--oracle"]) == 0
-        oracle_out = capsys.readouterr().out
-        assert main(["solve", PATTERN, DATA, "--l", "2", "--h", "2"]) == 0
-        search_out = capsys.readouterr().out
-        assert oracle_out == search_out
+        # solve prints the oracle's witnesses and enumerate the search's:
+        # the same set under the same exit code, in an order of their own
+        for l, h, rc in (("1", "3", 0), ("2", "2", 0), ("3", "3", 1)):
+            results = []
+            for command in (["solve"], ["enumerate"], ["enumerate", "--algo", "ndshd1"]):
+                code = main(command + [PATTERN, DATA, "--l", l, "--h", h])
+                out = capsys.readouterr().out
+                keys = sorted(Mapping.parse(b).canonical_key() for b in out.split("\n\n") if b)
+                results.append((code, keys))
+            assert results == [(rc, results[0][1])] * 3, (l, h)
 
     def test_solve_oracle_guard_is_an_error(self, capsys, tmp_path):
         big = tmp_path / "big.graph"
         main(["gen", "random", "--n", "20", "--avg-degree", "2", "--labels", "3",
               "--seed", "1", "--out", str(big)])
         capsys.readouterr()
-        rc = main(["solve", PATTERN, str(big), "--l", "1", "--h", "2", "--oracle"])
+        rc = main(["solve", PATTERN, str(big), "--l", "1", "--h", "2"])
         assert rc == 2
+        assert "brute-force guard" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option", [["--oracle"], ["--algo", "ndshd1"]])
+    def test_solve_has_no_search_options(self, capsys, option):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", PATTERN, DATA, "--l", "2", "--h", "2"] + option)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestGen:

@@ -96,6 +96,23 @@ class TestEnumeratePaths:
         with pytest.raises(ValueError):
             enumerate_paths(worked_data, (1, 2), 3, 2)
 
+    def test_candidate_and_deadline_validation(self, worked_data):
+        # (2, 2, 8) once stored each path from 2 twice, (True, 8) took True
+        # for vertex 1, and a NaN deadline could never fire
+        for cands, match in (((2, 2, 8), "candidate 2 is repeated"),
+                             ((True, 8), "candidate True is not a vertex"),
+                             ((2.0, 8), "candidate 2.0 is not a vertex"),
+                             ((0, 8), "candidate 0 is not a vertex"),
+                             ((2, 10), "candidate 10 is not a vertex")):
+            with pytest.raises(ValueError, match=match):
+                enumerate_paths(worked_data, cands, 2, 2)
+        for deadline in (float("nan"), "x", True):
+            with pytest.raises(ValueError, match="deadline must be a number"):
+                enumerate_paths(worked_data, (2, 8), 2, 2, deadline=deadline)
+        store = enumerate_paths(worked_data, (8, 2), 2, 2, deadline=float("inf"))
+        assert store.candidates == (2, 8)
+        assert store.pair_count(2, 8) == 2
+
     def test_path_budget_is_exact(self, monkeypatch):
         g = random_labeled_graph(12, 3.0, 3, 5)
         cands = tuple(g.vertices)

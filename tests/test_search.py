@@ -2,6 +2,7 @@ import copy
 import functools
 import hashlib
 import gc
+import itertools
 import random
 import sys
 import time
@@ -25,7 +26,7 @@ from homeomatch import (
     random_labeled_graph,
     verify_mapping,
 )
-from homeomatch.oracle import brute_force_solve
+from homeomatch.oracle import bounded_simple_paths, brute_force_solve
 
 EXPECTED_NODE_MAP = {1: 2, 2: 8, 3: 6, 4: 4}
 EXPECTED_PATHS = {(1, 2): (2, 1, 8), (1, 3): (2, 9, 6), (1, 4): (2, 3, 4),
@@ -434,16 +435,27 @@ class TestEnumeration:
     def test_unsatisfiable_instance_yields_nothing(self, worked_pattern, worked_data):
         assert list(enumerate_all(worked_pattern, worked_data, 3, 3)) == []
 
-    def test_limit_stops_early(self):
+    def test_limit_stops_early(self, worked_pattern, worked_data):
         pattern = LabeledGraph(2, {1: "a", 2: "a"}, [(1, 2)])
         data = LabeledGraph(4, {v: "a" for v in range(1, 5)},
                             [(1, 2), (2, 3), (3, 4), (1, 4)])
         # each of the 4 data edges hosts the symmetric pattern edge in
-        # both orientations
-        all_of_them = list(enumerate_all(pattern, data, 1, 1))
-        assert len(all_of_them) == 8
-        assert len(list(enumerate_all(pattern, data, 1, 1, limit=2))) == 2
-        assert list(enumerate_all(pattern, data, 1, 1, limit=0)) == []
+        # both orientations; the worked example has 6 witnesses at (1, 3)
+        for (g1, g2, h, total), strategy in itertools.product(
+                ((pattern, data, 1, 8), (worked_pattern, worked_data, 3, 6)),
+                ("ndshd1", "ndshd2")):
+            keys = [m.canonical_key() for m in enumerate_all(g1, g2, 1, h, strategy=strategy)]
+            assert len(keys) == total
+            calls = 0
+            # a limit of k gives the first k witnesses of the unlimited run
+            for k in range(1, total + 1):
+                stats = SearchStats()
+                run = enumerate_all(g1, g2, 1, h, limit=k, strategy=strategy, stats=stats)
+                assert [m.canonical_key() for m in run] == keys[:k]
+                assert stats.outcome is True
+                assert stats.recursion_calls >= calls
+                calls = stats.recursion_calls
+            assert list(enumerate_all(g1, g2, 1, h, limit=0, strategy=strategy)) == []
 
     def test_non_int_limit_is_rejected(self):
         # a star with three witnesses, which a 1.5 limit once let all through
@@ -503,13 +515,16 @@ class TestSearchHygiene:
                 assert s.store.snapshot() == store_before
                 assert s.node_image == {} and s.path_of_edge == {}
 
-    def test_calls_leave_no_cyclic_garbage(self, worked_pattern, worked_data):
+    def test_calls_leave_no_cyclic_garbage(self, worked_pattern, worked_data, worked_mapping):
         # Everything a call builds, the path index above all, must be freed
         # when the call returns, not at some later garbage collection.
         calls = (lambda: ndshd1(worked_pattern, worked_data, 1, 3),
                  lambda: ndshd2(worked_pattern, worked_data, 1, 3),
                  lambda: list(enumerate_all(worked_pattern, worked_data, 1, 3)),
-                 lambda: list(enumerate_all(worked_pattern, worked_data, 1, 3, limit=1)))
+                 lambda: list(enumerate_all(worked_pattern, worked_data, 1, 3, limit=1)),
+                 lambda: bounded_simple_paths(worked_data, 2, 8, 1, 3),
+                 lambda: brute_force_solve(worked_pattern, worked_data, 2, 2),
+                 lambda: verify_mapping(worked_pattern, worked_data, 2, 2, worked_mapping))
         gc.collect()
         gc.disable()
         try:
