@@ -240,8 +240,9 @@ def check_random_graph_args(n: int, avg_degree: float, label_count: int):
         raise ValueError(f"n must be an int >= 1, not {n!r}")
     if type(label_count) is not int or label_count < 1:
         raise ValueError(f"label_count must be an int >= 1, not {label_count!r}")
-    if not 0 <= avg_degree < n:
-        raise ValueError(f"avg_degree must lie in [0, n); got {avg_degree} for n={n}")
+    if type(avg_degree) not in (int, float) or not 0 <= avg_degree < n:
+        raise ValueError(f"avg_degree must be an int or float in [0, n); "
+                         f"got {avg_degree!r} for n={n}")
 
 
 def _sample_pairs(rng: random.Random, n: int, p: float) -> list[tuple[int, int]]:

@@ -68,7 +68,6 @@ are never modified.
 from __future__ import annotations
 
 import time
-from collections.abc import Iterator
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
@@ -412,9 +411,9 @@ class MatchState:
     def select_row(self) -> int | None:
         """The unmatched row with the fewest candidates, ties by ascending id, or None."""
         img = self.node_image
-        unmatched = [i for i in range(1, self.g1.n + 1) if i not in img]
-        if not unmatched:
+        if len(img) == self.g1.n:
             return None
+        unmatched = [i for i in range(1, self.g1.n + 1) if i not in img]
         sizes = map(len, map(self.matrix.rows.__getitem__, unmatched))
         return min(zip(sizes, unmatched))[1]
 
@@ -534,50 +533,42 @@ class MatchState:
         return False
 
 
-@dataclass(slots=True)
-class _Frame:
-    """A state that branches over the candidates of one pattern row or edge."""
-
-    phase: str
-    item: object
-    cands: Iterator[int]
-    pushed: bool = False  # a match for ``item`` is on the state
-
-
 class _Engine:
     """Drives one search over a MatchState; collects stats, honors deadlines.
 
-    Both strategies run in one loop over an explicit stack of frames, so
-    the search depth is not bounded by Python's recursion limit.  They
-    differ only in the state that follows a push: ``ndshd1`` stays at the
-    node level until every row is matched, then takes pending edges by
-    ``select_pending_edge``; ``ndshd2`` goes to the edge level after a
-    node match that made edges pending, matches them in ascending order,
-    the least of ``pending`` first, and goes back to the node level once
-    none is left.  The caller checks the strategy name: any name but
-    ``ndshd1`` runs ``ndshd2``.
+    Both strategies run in one loop over an explicit stack of frames
+    ``(level, item, cands)``, so the search depth is not bounded by
+    Python's recursion limit.  They differ in one rule: a strategy stays
+    on its first level, ``ndshd1`` the rows and ``ndshd2`` the pending
+    edges, while that level has work left, and takes the other level
+    only when it has none.  ``ndshd1`` takes pending edges by
+    ``select_pending_edge``, ``ndshd2`` the least of ``pending``.  The
+    caller checks the strategy name: any name but ``ndshd1`` runs
+    ``ndshd2``.
     """
 
     def __init__(self, state: MatchState, strategy: str, stats: SearchStats):
         self.state = state
-        self.two_level = strategy == "ndshd1"
+        self.first = "node" if strategy == "ndshd1" else "edge"
         self.stats = stats
         self._deadline = state.deadline
 
     def solutions(self, limit: int | None = None):
         """Generator of complete mappings, stopping after ``limit`` of them.
 
-        ``limit`` is None or an int of at least 1.  The search's time goes
-        to ``stats.wall_time`` and its outcome to ``stats.outcome``: True
-        once a witness was yielded, False when the search ran to its end
-        without one, and None when it did neither, as when the deadline
-        cuts it.  Closing the generator restores the state.
+        ``limit`` is None or an int of at least 1.  The time the generator
+        runs goes to ``stats.wall_time``, the unwind at its end included
+        but not the consumer's time between two witnesses.  Its outcome
+        goes to ``stats.outcome``: True once a witness was yielded, False
+        when the search ran to its end without one, and None when it did
+        neither, as when the deadline cuts it.  Closing the generator
+        restores the state.
         """
         s = self.state
         # The root saves its rows and dirty map as a push does; root
         # refinement edits the map in place, so the root keeps a copy.
         dirty, rows = s._dirty.copy(), s.matrix.snapshot()
-        stack: list[_Frame] = []
+        stack: list[tuple] = []
         emitted = 0
         outcome = None
         t0 = time.perf_counter()
@@ -589,77 +580,72 @@ class _Engine:
             while True:
                 if found is not None:
                     outcome = True
-                    yield found
+                    paused = time.perf_counter()
+                    try:
+                        yield found
+                    finally:  # the consumer's time is not the search's
+                        t0 += time.perf_counter() - paused
                     emitted += 1
                     if emitted == limit:
                         return
                 if not stack:
                     outcome = bool(outcome)
                     return
-                frame = stack[-1]
-                if frame.pushed:  # the subtree below the match is exhausted
-                    frame.pushed = False
+                level, item, cands = stack[-1]
+                if s.depth == len(stack):  # the subtree below the top match is exhausted
                     self._backtracked()
                     s.pop()
-                cand = next(frame.cands, None)
+                cand = next(cands, None)
                 if cand is None:
                     stack.pop()
                     found = None
                     continue
-                if frame.phase == "node":
-                    dead = s.push_node_match(frame.item, cand)
+                if level == "node":
+                    dead = s.push_node_match(item, cand)
                 else:
-                    dead = s.push_path_match(frame.item, cand)
-                self._record(frame.phase)
-                frame.pushed = True
-                phase = "edge" if s.pending and not self.two_level else frame.phase
-                found = self._open(stack, phase, dead)
+                    dead = s.push_path_match(item, cand)
+                self._record(level)
+                found = self._open(stack, level, dead)
         finally:
-            while stack:
-                if stack.pop().pushed:
-                    s.pop()
+            while s.depth:
+                s.pop()
             s.matrix.restore(rows)
             s._dirty = dirty
             self.stats.wall_time = time.perf_counter() - t0
             self.stats.outcome = outcome
 
-    def _open(self, stack, phase, dead: bool) -> Mapping | None:
+    def _open(self, stack, came_from: str, dead: bool) -> Mapping | None:
         """Enter the root or the state after a push; stack its frame or return its mapping.
 
         ``dead`` says whether the state is dead: after a push, what the
         push returned; at the root, what the root refinement returned,
         which is exact there because every row starts dirty, so the pass
-        stops at any empty row, and no edge is pending.  A state with
-        nothing to choose enters the next one in the same call without a
-        second check: ``ndshd1``'s node level hands over to the edge level
-        once every row is matched, ``ndshd2``'s edge level back to the
-        node level.
+        stops at any empty row, and no edge is pending.  A live state
+        stacks a frame on the strategy's first level while that level has
+        work (an unmatched row for ``ndshd1``, a pending edge for
+        ``ndshd2``), else on the other level, else it is a witness.
+        ``came_from`` is the level of the push that led here, ``"node"``
+        at the root.  When it is the first level and the next step is not,
+        the state is entered once more: it counts in ``states_explored``
+        and polls the deadline as the start of a new phase.
         """
         s = self.state
-        two_level = self.two_level
         self._enter()
         if dead:
             return None
-        while True:
-            if phase == "node":
-                if not two_level and s.is_success():
-                    return self._solution()
-                vi = s.select_row()
-                if vi is not None:
-                    stack.append(_Frame("node", vi, iter(s.node_candidates(vi))))
-                    return None
-                if not two_level:
-                    return None
-                phase = "edge"
-            elif s.pending:
-                edge = s.select_pending_edge() if two_level else min(s.pending.values())
-                stack.append(_Frame("edge", edge, iter(s.path_candidates(edge))))
-                return None
-            elif two_level:
-                return self._solution()
-            else:
-                phase = "node"
+        pending = s.pending
+        vi = None if pending and self.first == "edge" else s.select_row()
+        level = "node" if vi is not None else "edge" if pending else None
+        if came_from == self.first and level != self.first:
             self._enter()
+        if level == "node":
+            stack.append(("node", vi, iter(s.node_candidates(vi))))
+        elif level == "edge":
+            edge = s.select_pending_edge() if self.first == "node" else min(pending.values())
+            stack.append(("edge", edge, iter(s.path_candidates(edge))))
+        else:
+            return self._solution()
+        return None
 
     def _enter(self):
         self.stats.states_explored += 1

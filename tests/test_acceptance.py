@@ -157,25 +157,32 @@ def test_acceptance_4_planted_completeness():
 
 
 def test_acceptance_5_scalability_trend():
+    # The times are a few milliseconds, so host noise moves a single run's
+    # ratio a lot; each row's fastest of three runs of the same spec keeps
+    # the noise out of the medians.
     spec = ExperimentSpec.load(EXPERIMENTS_DIR / "exp1_data_scale.json")
-    rows, _ = run_experiment(spec)
+    runs = [run_experiment(spec)[0] for _ in range(3)]
+    rows = runs[0]
+    best = [min(r["setup_s"] + r["search_s"] for r in same) for same in zip(*runs)]
     ok = True
     details = []
     worst = 0.0
     for algo in ("ndshd1", "ndshd2"):
         medians = {}
         for point in (200, 2000):
-            sub = [r for r in rows if r["algo"] == algo and r["sweep_value"] == point]
-            medians[point] = statistics.median(r["setup_s"] + r["search_s"] for r in sub)
+            medians[point] = statistics.median(
+                t for r, t in zip(rows, best) if r["algo"] == algo and r["sweep_value"] == point)
         ratio = medians[2000] / medians[200]
         details.append(f"{algo} {ratio:.1f}x")
         ok = ok and ratio < 20.0
-    for r in rows:
-        total = r["setup_s"] + r["search_s"]
-        worst = max(worst, total)
-        ok = ok and r["outcome"] != "timeout" and total < 30.0
-    report(5, "data-graph scaling sweep 200..2000 vertices: median-time ratios "
-              f"[{', '.join(details)}] all < 20x, worst run {worst:.2f}s < 30s", ok)
+    for run in runs:
+        for r in run:
+            total = r["setup_s"] + r["search_s"]
+            worst = max(worst, total)
+            ok = ok and r["outcome"] != "timeout" and total < 30.0
+    report(5, "data-graph scaling sweep 200..2000 vertices, fastest of 3 runs per row: "
+              f"median-time ratios [{', '.join(details)}] all < 20x, "
+              f"worst run {worst:.2f}s < 30s", ok)
 
 
 def test_acceptance_6_strategy_comparison():

@@ -164,6 +164,9 @@ class TestRandomLabeledGraph:
         for label_count in (2.5, True):
             with pytest.raises(ValueError, match="label_count must be an int"):
                 random_labeled_graph(5, 2.0, label_count, 0)
+        for avg_degree in (True, False, "2", None):
+            with pytest.raises(ValueError, match="avg_degree must be an int or float"):
+                random_labeled_graph(5, avg_degree, 2, 0)
         # avg_degree == n-1 means a complete graph, which is fine
         g = random_labeled_graph(5, 4.0, 2, 0)
         assert g.m == 10

@@ -687,6 +687,22 @@ class TestSearchHygiene:
         d = stats.as_dict(include_timing=False)
         assert "wall_time_s" not in d and "trace" in d
 
+    def test_wall_time_leaves_out_the_consumer(self, worked_pattern, worked_data):
+        # A consumer that sleeps 0.05 s per witness, whether it runs the
+        # generator to its end or closes it after the first witness.
+        stats = SearchStats()
+        for count, _ in enumerate(enumerate_all(worked_pattern, worked_data, 1, 3,
+                                                stats=stats), 1):
+            time.sleep(0.05)
+        assert count >= 2 and stats.outcome is True
+        assert stats.wall_time < 0.05
+        stats = SearchStats()
+        run = enumerate_all(worked_pattern, worked_data, 1, 3, stats=stats)
+        next(run)
+        time.sleep(0.05)
+        run.close()
+        assert stats.outcome is True and stats.wall_time < 0.05
+
     def test_strategy_agreement_on_random_inputs(self):
         for seed in range(40):
             rng = random.Random(seed + 1234)
@@ -734,6 +750,32 @@ def _instances(draw):
     g2 = random_labeled_graph(draw(st.integers(5, 9)), draw(st.sampled_from([2.0, 3.0])),
                               labels, 2 * seed)
     return g1, g2, l, h
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(instance=_instances())
+def test_each_strategy_leaves_its_first_level_only_when_it_is_done(instance):
+    """The successor rule: ``ndshd1`` pushes no path match while a row is
+    unmatched, and ``ndshd2`` no node match while an edge is pending."""
+    g1, g2, l, h = instance
+    node_push, path_push = MatchState.push_node_match, MatchState.push_path_match
+    pushes = []
+
+    def push_node(s, vi, vj):
+        pushes.append(("node", len(s.node_image) < s.g1.n, bool(s.pending)))
+        return node_push(s, vi, vj)
+
+    def push_path(s, edge, pid):
+        pushes.append(("edge", len(s.node_image) < s.g1.n, bool(s.pending)))
+        return path_push(s, edge, pid)
+
+    with mock.patch.multiple(MatchState, push_node_match=push_node,
+                             push_path_match=push_path):
+        list(enumerate_all(g1, g2, l, h, strategy="ndshd1"))
+        assert ("edge", True) not in {(level, unmatched) for level, unmatched, _ in pushes}
+        pushes.clear()
+        list(enumerate_all(g1, g2, l, h, strategy="ndshd2"))
+        assert ("node", True) not in {(level, pending) for level, _, pending in pushes}
 
 
 _CAPS = st.sampled_from([0, 1, search.WITNESS_CAP])
