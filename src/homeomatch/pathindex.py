@@ -99,7 +99,7 @@ class PathStore:
     the store's life.
     """
 
-    __slots__ = ("candidates", "_cand_set", "_verts", "_alive",
+    __slots__ = ("candidates", "_verts", "_alive",
                  "by_pair", "_by_inner", "_by_end", "_pair_alive",
                  "_reach", "witness_tries")
 
@@ -112,7 +112,6 @@ class PathStore:
         visited in ascending order, so every per-vertex list is ascending.
         """
         self.candidates = tuple(sorted(candidates))
-        self._cand_set = frozenset(self.candidates)
         self._verts = verts
         self.by_pair = by_pair
         self._alive = bytearray(b"\x01") * len(verts)
@@ -151,7 +150,7 @@ class PathStore:
     def path_count(self, u: int, w: int) -> int:
         """Alive paths between two candidate branch nodes (count matrix entry)."""
         for v in (u, w):
-            if v not in self._cand_set:
+            if v not in self._reach:
                 raise ValueError(f"vertex {v} is not a candidate branch node")
         return self.pair_count(u, w)
 

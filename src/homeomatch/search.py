@@ -94,12 +94,6 @@ STRATEGIES = ("ndshd1", "ndshd2")
 WITNESS_CAP = 10_000
 
 
-def _check_limits(l, h, deadline):
-    """Reject a bad window, and a deadline that is NaN or not a number."""
-    check_window(l, h)
-    check_deadline(deadline)
-
-
 @dataclass
 class SearchStats:
     """Counters collected during one search run.
@@ -181,9 +175,6 @@ class CompatibleMatrix:
                                   if di <= g2.degree(j))
         return m
 
-    def get(self, i: int, j: int) -> bool:
-        return j in self.rows[i]
-
     def ones(self) -> int:
         return sum(len(r) for r in self.rows[1:])
 
@@ -252,7 +243,6 @@ class MatchState:
     @classmethod
     def create(cls, g1: LabeledGraph, g2: LabeledGraph, l: int, h: int,
                deadline: float | None = None) -> "MatchState":
-        _check_limits(l, h, deadline)
         matrix = CompatibleMatrix.initial(g1, g2)
         cands = candidate_branch_nodes(matrix)
         store = enumerate_paths(g2, cands, l, h, deadline=deadline)
@@ -268,8 +258,12 @@ class MatchState:
         """Match vi to vj, which takes vj; return whether the state is dead.
 
         Kills the paths running through vj and binds row vi to {vj}; then
-        ``_take`` strips vj from the unmatched rows and refines.
+        ``_take`` strips vj from the unmatched rows and refines.  Raises
+        ``ValueError``, with the state untouched, unless vi is an unmatched
+        pattern vertex and vj is in its row.
         """
+        if not 1 <= vi <= self.g1.n or vi in self.node_image or vj not in self.matrix.rows[vi]:
+            raise ValueError(f"cannot match pattern vertex {vi!r} to {vj!r}")
         token = self.store.remove_paths_through_vertex(vj)
         self._save("node", token)
         img, pending = self.node_image, self.pending
@@ -287,12 +281,16 @@ class MatchState:
         return whether the state is dead.
 
         Kills the other paths running through them; then ``_take`` strips
-        them from the unmatched rows and refines.
+        them from the unmatched rows and refines.  Raises ``ValueError``,
+        with the state untouched, unless pid is an alive stored path whose
+        ends are the images of the pending edge ``edge``.
         """
         store = self.store
-        token = store.remove_paths_conflicting_with(pid)
+        verts = store.vertices(pid) if 0 <= pid < len(store) else None
+        if verts is None or self.pending.get((verts[0], verts[-1])) != edge:
+            raise ValueError(f"path {pid!r} does not join the images of pending edge {edge!r}")
+        token = store.remove_paths_conflicting_with(pid)  # raises if pid is not alive
         self._save("edge", token)
-        verts = store.vertices(pid)
         del self.pending[verts[0], verts[-1]]
         self.path_of_edge[edge] = pid
         return self._take(store.inner(pid), edge, token)
@@ -362,7 +360,12 @@ class MatchState:
             raise
 
     def pop(self):
-        """Undo the most recent push exactly, the dirty map and pending edges included."""
+        """Undo the most recent push exactly, the dirty map and pending edges included.
+
+        Raises ``ValueError`` when nothing is pushed.
+        """
+        if not self._trail:
+            raise ValueError("no push to pop")
         kind, token, self._dirty, rows = self._trail.pop()
         store, img, pending = self.store, self.node_image, self.pending
         store.undo(token)
@@ -379,10 +382,6 @@ class MatchState:
         self.matrix.restore(rows)
 
     # state predicates ---------------------------------------------------
-
-    def is_success(self) -> bool:
-        """Complete mapping state: all nodes and all edges matched."""
-        return len(self.node_image) == self.g1.n and len(self.path_of_edge) == self.g1.m
 
     def is_dead(self) -> bool:
         """Provably unextendable state.
@@ -417,17 +416,14 @@ class MatchState:
         sizes = map(len, map(self.matrix.rows.__getitem__, unmatched))
         return min(zip(sizes, unmatched))[1]
 
-    def select_pending_edge(self) -> tuple[int, int] | None:
-        """The pending edge to match next, or None when no edge is pending.
+    def select_pending_edge(self) -> tuple[int, int]:
+        """The pending edge to match next; call it only while an edge is pending.
 
         The edge with the fewest alive paths between its images, ties by
         ascending edge.
         """
-        pending = self.pending
-        if not pending:
-            return None
         count = self.store.pair_count
-        return min((count(a, b), e) for (a, b), e in pending.items())[1]
+        return min((count(a, b), e) for (a, b), e in self.pending.items())[1]
 
     def node_candidates(self, vi: int) -> list[int]:
         return sorted(self.matrix.rows[vi])
@@ -502,8 +498,6 @@ class MatchState:
             if not row:
                 return True
             pending = dirty.pop(vi)
-            if not adj[vi]:
-                continue
             matched_images = []
             neighbor_rows = []
             for u in adj[vi]:
@@ -689,7 +683,8 @@ def _witnesses(g1, g2, l, h, strategy, deadline, stats, limit=None):
         raise ValueError(f"limit must be an int or None, not {limit!r}")
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
-    _check_limits(l, h, deadline)
+    check_window(l, h)
+    check_deadline(deadline)
     if limit is not None and limit <= 0:
         return
     stats = stats if stats is not None else SearchStats()

@@ -45,7 +45,7 @@ class TestInitialCompatibleMatrix:
         # data vertex 5 shares the label of pattern vertex 1 but its
         # degree 2 is below the pattern vertex's degree 3
         assert worked_data.label(5) == worked_pattern.label(1)
-        assert not m0.get(1, 5)
+        assert 5 not in m0.rows[1]
         assert sorted(m0.rows[1]) == [2]
         assert sorted(m0.rows[2]) == [1, 7, 8]
         assert sorted(m0.rows[3]) == [6]
@@ -67,7 +67,7 @@ class TestInitialCompatibleMatrix:
                 for j in g2.vertices:
                     expect = (g1.label(i) == g2.label(j)
                               and g1.degree(i) <= g2.degree(j))
-                    assert m0.get(i, j) == expect
+                    assert (j in m0.rows[i]) == expect
 
     def test_empty_graphs_give_empty_rows(self):
         g, empty = LabeledGraph(1, {1: "a"}, []), LabeledGraph(0, {}, [])
@@ -105,10 +105,10 @@ class TestStatePredicates:
 
     def test_success_requires_full_nm_and_epm(self, worked_pattern, worked_data):
         s = MatchState.create(worked_pattern, worked_data, 2, 2)
-        assert not s.is_success()
+        assert s.depth != s.g1.n + s.g1.m
         for vi, vj in EXPECTED_NODE_MAP.items():
             s.push_node_match(vi, vj)
-        assert not s.is_success()  # nodes complete, edges pending
+        assert s.depth != s.g1.n + s.g1.m  # nodes complete, edges pending
         for edge in worked_pattern.sorted_edges():
             pids = s.path_candidates(edge)
             assert len(pids) >= 1
@@ -116,7 +116,7 @@ class TestStatePredicates:
             pick = [p for p in pids
                     if s.store.vertices(p) in (target, tuple(reversed(target)))]
             s.push_path_match(edge, pick[0])
-        assert s.is_success()
+        assert s.depth == s.g1.n + s.g1.m
 
 
 class TestRefinement:
@@ -162,7 +162,7 @@ class TestRefinement:
         s.push_path_match((1, 2), pid)
         assert [s.store.is_alive(p) for p in range(len(s.store))] == alive_before
         assert s.matrix.snapshot() == rows_before
-        assert s.is_success()
+        assert s.depth == s.g1.n + s.g1.m
 
     def test_path_match_restores_exactly(self, worked_pattern, worked_data):
         s = MatchState.create(worked_pattern, worked_data, 2, 2)
@@ -174,6 +174,42 @@ class TestRefinement:
         s.pop()
         assert full_snapshot(s) == before
 
+    def test_bad_push_or_pop_raises_and_leaves_the_state_untouched(
+            self, worked_pattern, worked_data):
+        s = MatchState.create(worked_pattern, worked_data, 2, 2)
+        store = s.store
+
+        def rejected(change, *args):
+            before = full_snapshot(s), len(s._trail)
+            with pytest.raises(ValueError):
+                change(*args)
+            assert (full_snapshot(s), len(s._trail)) == before
+
+        def stored(path):
+            (pid,) = [p for p in range(len(store)) if store.vertices(p) == path]
+            return pid
+
+        p218, p296, p298 = stored((2, 1, 8)), stored((2, 9, 6)), stored((2, 9, 8))
+        rejected(s.pop)  # nothing pushed
+        for vi in (0, -1, worked_pattern.n + 1):
+            rejected(s.push_node_match, vi, 2)
+        rejected(s.push_node_match, 1, 5)  # 5 is in no row
+        s.push_node_match(1, 2)
+        rejected(s.push_node_match, 1, 2)  # vertex 1 is matched already
+        rejected(s.push_path_match, (1, 2), p218)  # vertex 2 is unmatched
+        s.push_node_match(2, 8)
+        s.push_node_match(3, 6)
+        rejected(s.push_path_match, (1, 3), p218)  # p218 joins the images of (1, 2)
+        for pid in (-1, len(store)):
+            rejected(s.push_path_match, (1, 2), pid)
+        s.push_path_match((1, 3), p296)
+        rejected(s.push_path_match, (1, 2), p298)  # p296 killed it
+        s.push_path_match((1, 2), p218)
+        assert s.path_of_edge == {(1, 3): p296, (1, 2): p218}
+        while s.depth:
+            s.pop()
+        rejected(s.pop)
+
     def test_refine_clears_cell_without_independent_witnesses(self):
         # pattern: a-b-c chain; data: the b-candidate X reaches both the
         # a-image and the only c-candidate solely through vertex z, so no
@@ -182,9 +218,9 @@ class TestRefinement:
         data = LabeledGraph(5, {1: "a", 2: "b", 3: "q", 4: "c", 5: "q"},
                             [(1, 3), (2, 3), (3, 4), (2, 5)])
         s = MatchState.create(pattern, data, 2, 2)
-        assert s.matrix.get(2, 2)
+        assert 2 in s.matrix.rows[2]
         s.push_node_match(1, 1)
-        assert not s.matrix.get(2, 2)
+        assert 2 not in s.matrix.rows[2]
         assert s.is_dead()
         assert ndshd1(pattern, data, 2, 2) is None
         assert brute_force_solve(pattern, data, 2, 2) == []
@@ -194,7 +230,7 @@ class TestRefinement:
         data = LabeledGraph(4, {1: "a", 2: "b", 3: "q", 4: "q"},
                             [(1, 3), (2, 4)])
         s = MatchState.create(pattern, data, 1, 2)
-        assert s.matrix.get(1, 1) and s.matrix.get(2, 2)
+        assert 1 in s.matrix.rows[1] and 2 in s.matrix.rows[2]
         s.refine_compatibility()
         # no path joins the two labeled candidates, so both rows clear
         assert s.is_dead()
@@ -306,6 +342,10 @@ class TestDetermination:
             # h is not capped: a window as long as the data graph answers
             w = fn(worked_pattern, worked_data, 1, 9)
             assert w is not None and verify_mapping(worked_pattern, worked_data, 1, 9, w)
+        for g1 in (worked_pattern, LabeledGraph(0, {}, [])):
+            for l, h in ((0, 2), (2, 1), (1, 2.5), (True, 3)):
+                with pytest.raises(ValueError):
+                    MatchState.create(g1, worked_data, l, h)
 
     def test_non_int_window_is_rejected(self):
         # a 2.5 window once let through a path of length 3, which the

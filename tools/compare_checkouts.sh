@@ -7,8 +7,9 @@
 # OUTDIR/parent/outputs and OUTDIR/change/outputs, and CHANGE's
 # tools/layer_counts.sh into OUTDIR/parent/counts and OUTDIR/change/counts,
 # so a case that CHANGE adds to its tools runs on both sides.  Prints
-# `diff -r` of each pair of trees, then the `tools/code_lines.sh` total of
-# each checkout, counted by CHANGE's copy.  Exits 0 only when both pairs of
+# `diff -r` of each pair of trees, then each module's `tools/code_lines.sh`
+# count and the total, counted by CHANGE's copy, as `parent change name`
+# lines (`-` for a module one side lacks).  Exits 0 only when both pairs of
 # trees are identical, 1 when either differs.
 #
 # layer_counts.sh runs perfbench's traced pass (`perfbench/run.py --trace 1`)
@@ -50,8 +51,16 @@ for tree in outputs counts; do
     echo "== diff -r parent/$tree change/$tree"
     diff -r "$out/parent/$tree" "$out/change/$tree" || same=1
 done
-for side in parent change; do
-    checkout=${!side}
-    echo "== code lines, $side: $(bash "$change/tools/code_lines.sh" "$checkout" | tail -n 1)"
-done
+parent_lines=$(bash "$change/tools/code_lines.sh" "$parent")
+change_lines=$(bash "$change/tools/code_lines.sh" "$change")
+echo "== code lines: parent change module"
+awk 'NR == FNR { parent[$2] = $1; if ($2 != "total") order[++n] = $2; next }
+     { change[$2] = $1; if (!($2 in parent)) order[++n] = $2 }
+     END {
+         order[++n] = "total"
+         for (k = 1; k <= n; k++) {
+             m = order[k]
+             printf "%6s %6s %s\n", (m in parent ? parent[m] : "-"), (m in change ? change[m] : "-"), m
+         }
+     }' <(echo "$parent_lines") <(echo "$change_lines")
 exit "$same"
