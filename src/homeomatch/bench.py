@@ -69,7 +69,7 @@ RUN_FIELDS = [
     "experiment", "sweep_variable", "sweep_value", "repetition", "algo",
     "n1", "m1", "n2", "m2", "labels", "l", "h",
     "pattern_seed", "data_seed", "outcome", "setup_s", "search_s",
-    "recursion_calls", "max_depth", "mean_backtrack_depth", "states_explored",
+    "recursion_calls", "max_depth", "mean_backtrack_depth",
 ]
 
 SUMMARY_FIELDS = [
@@ -303,7 +303,6 @@ def iter_runs(spec: ExperimentSpec):
                     "recursion_calls": stats.recursion_calls,
                     "max_depth": stats.max_depth,
                     "mean_backtrack_depth": stats.mean_backtrack_depth,
-                    "states_explored": stats.states_explored,
                 }
                 yield row
 

@@ -61,10 +61,11 @@ def verify_mapping(g1: LabeledGraph, g2: LabeledGraph, l: int, h: int,
                    mapping: Mapping) -> VerificationResult:
     """Check a complete witness clause by clause, naming the first violation.
 
-    Raises ValueError when the mapping is structurally incomplete
-    (unmapped pattern vertices or edges); semantic problems come back as
-    ``VerificationResult(False, reason)``.
+    Raises ValueError when the window is invalid or the mapping is
+    structurally incomplete (unmapped pattern vertices or edges); semantic
+    problems come back as ``VerificationResult(False, reason)``.
     """
+    check_window(l, h)
     f = mapping.node_map
     for v in g1.vertices:
         if v not in f:
@@ -114,35 +115,37 @@ def verify_mapping(g1: LabeledGraph, g2: LabeledGraph, l: int, h: int,
 
 
 def bounded_simple_paths(g: LabeledGraph, u: int, w: int, l: int, h: int) -> list:
-    """Every simple path from u to w with edge count in [l, h], DFS order."""
+    """Every simple path from u to w with edge count in [l, h], DFS order.
+
+    The DFS keeps one neighbour iterator per path vertex on an explicit
+    stack, so a path's length is not bounded by Python's recursion limit.
+    Raises ValueError for an invalid window.
+    """
+    check_window(l, h)
     if u == w:
         return []
     out: list[tuple[int, ...]] = []
-    _walk(g, w, l, h, [u], {u}, out)
+    path, seen = [u], {u}
+    stack = [iter(g.neighbors(u))]
+    while stack:
+        x = next(stack[-1], None)
+        if x is None:
+            stack.pop()
+            seen.remove(path.pop())
+        elif x == w:  # never in seen
+            if len(path) >= l:
+                out.append((*path, w))
+        elif x not in seen and len(path) < h:
+            path.append(x)
+            seen.add(x)
+            stack.append(iter(g.neighbors(x)))
     return out
 
 
 # The recursive helpers below are module functions, not nested closures: a
 # closure that calls itself sits in a reference cycle with its own cell,
 # which keeps everything it reaches alive until a cyclic garbage collection.
-
-def _walk(g: LabeledGraph, w: int, l: int, h: int, path: list, seen: set, out: list):
-    """Append to ``out`` every bounded simple path to w that extends ``path``."""
-    nd = len(path)
-    for x in g.neighbors(path[-1]):
-        if x in seen:
-            continue
-        if x == w:
-            if nd >= l:
-                out.append(tuple(path) + (w,))
-            continue
-        if nd < h:
-            path.append(x)
-            seen.add(x)
-            _walk(g, w, l, h, path, seen, out)
-            path.pop()
-            seen.remove(x)
-
+# Their depth is at most the pattern's size, which the guard bounds.
 
 def _node_maps(candidates: dict, i: int, f: dict, used: set):
     """Yield ``f`` extended injectively over vertices i..n1, in lexicographic order."""

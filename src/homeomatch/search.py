@@ -15,8 +15,9 @@ another).  Two strategies share one engine:
 A pending edge is a pattern edge whose two ends are matched and which
 has no committed path yet.  The state keeps the pending edges as one map
 keyed by their ends' images, and both strategies take their next edge
-from it: ``ndshd1`` once every node is matched, ``ndshd2`` right after
-the node match that made the edges pending.
+from it by one rule, fewest alive paths first: ``ndshd1`` once every
+node is matched, ``ndshd2`` right after the node match that made the
+edges pending.
 
 Both strategies are sound and complete and return the same boolean on
 every input; ``enumerate_all`` streams every distinct witness.  They run
@@ -99,17 +100,17 @@ class SearchStats:
     """Counters collected during one search run.
 
     ``recursion_calls`` counts attempted matches (one per pair pushed),
-    ``states_explored`` counts state entries, and the optional trace
-    records ``(call index, depth, phase)`` per attempted match, which is
-    enough to reconstruct recursion-depth plots.  The mean backtrack
-    depth averages the depth of abandoned states.
+    so a search enters ``recursion_calls + 1`` states, the root
+    included.  The optional trace records ``(call index, depth, phase)``
+    per attempted match, which is enough to reconstruct recursion-depth
+    plots.  The mean backtrack depth averages the depth of abandoned
+    states.
     """
 
     outcome: bool | None = None
     wall_time: float = 0.0
     setup_time: float = 0.0
     recursion_calls: int = 0
-    states_explored: int = 0
     max_depth: int = 0
     backtracks: int = 0
     backtrack_depth_sum: int = 0
@@ -125,7 +126,6 @@ class SearchStats:
         d = {
             "outcome": self.outcome,
             "recursion_calls": self.recursion_calls,
-            "states_explored": self.states_explored,
             "max_depth": self.max_depth,
             "backtracks": self.backtracks,
             "mean_backtrack_depth": round(self.mean_backtrack_depth, 6),
@@ -259,10 +259,11 @@ class MatchState:
 
         Kills the paths running through vj and binds row vi to {vj}; then
         ``_take`` strips vj from the unmatched rows and refines.  Raises
-        ``ValueError``, with the state untouched, unless vi is an unmatched
-        pattern vertex and vj is in its row.
+        ``ValueError``, with the state untouched, unless vi and vj are ints,
+        not bools, vi is an unmatched pattern vertex and vj is in its row.
         """
-        if not 1 <= vi <= self.g1.n or vi in self.node_image or vj not in self.matrix.rows[vi]:
+        if (type(vi) is not int or type(vj) is not int or not 1 <= vi <= self.g1.n
+                or vi in self.node_image or vj not in self.matrix.rows[vi]):
             raise ValueError(f"cannot match pattern vertex {vi!r} to {vj!r}")
         token = self.store.remove_paths_through_vertex(vj)
         self._save("node", token)
@@ -282,11 +283,12 @@ class MatchState:
 
         Kills the other paths running through them; then ``_take`` strips
         them from the unmatched rows and refines.  Raises ``ValueError``,
-        with the state untouched, unless pid is an alive stored path whose
-        ends are the images of the pending edge ``edge``.
+        with the state untouched, unless pid is an int, not a bool, naming
+        an alive stored path whose ends are the images of the pending edge
+        ``edge``.
         """
         store = self.store
-        verts = store.vertices(pid) if 0 <= pid < len(store) else None
+        verts = store.vertices(pid) if type(pid) is int and 0 <= pid < len(store) else None
         if verts is None or self.pending.get((verts[0], verts[-1])) != edge:
             raise ValueError(f"path {pid!r} does not join the images of pending edge {edge!r}")
         token = store.remove_paths_conflicting_with(pid)  # raises if pid is not alive
@@ -535,10 +537,9 @@ class _Engine:
     Python's recursion limit.  They differ in one rule: a strategy stays
     on its first level, ``ndshd1`` the rows and ``ndshd2`` the pending
     edges, while that level has work left, and takes the other level
-    only when it has none.  ``ndshd1`` takes pending edges by
-    ``select_pending_edge``, ``ndshd2`` the least of ``pending``.  The
-    caller checks the strategy name: any name but ``ndshd1`` runs
-    ``ndshd2``.
+    only when it has none.  Both take pending edges by
+    ``select_pending_edge``.  The caller checks the strategy name: any
+    name but ``ndshd1`` runs ``ndshd2``.
     """
 
     def __init__(self, state: MatchState, strategy: str, stats: SearchStats):
@@ -570,7 +571,7 @@ class _Engine:
             # One refinement pass before the first selection settles most
             # unsatisfiable instances in a single scan instead of once per
             # root candidate; it is the same sound per-match refinement.
-            found = self._open(stack, "node", s.refine_compatibility())
+            found = self._open(stack, s.refine_compatibility())
             while True:
                 if found is not None:
                     outcome = True
@@ -599,7 +600,7 @@ class _Engine:
                 else:
                     dead = s.push_path_match(item, cand)
                 self._record(level)
-                found = self._open(stack, level, dead)
+                found = self._open(stack, dead)
         finally:
             while s.depth:
                 s.pop()
@@ -608,7 +609,7 @@ class _Engine:
             self.stats.wall_time = time.perf_counter() - t0
             self.stats.outcome = outcome
 
-    def _open(self, stack, came_from: str, dead: bool) -> Mapping | None:
+    def _open(self, stack, dead: bool) -> Mapping | None:
         """Enter the root or the state after a push; stack its frame or return its mapping.
 
         ``dead`` says whether the state is dead: after a push, what the
@@ -617,11 +618,10 @@ class _Engine:
         stops at any empty row, and no edge is pending.  A live state
         stacks a frame on the strategy's first level while that level has
         work (an unmatched row for ``ndshd1``, a pending edge for
-        ``ndshd2``), else on the other level, else it is a witness.
-        ``came_from`` is the level of the push that led here, ``"node"``
-        at the root.  When it is the first level and the next step is not,
-        the state is entered once more: it counts in ``states_explored``
-        and polls the deadline as the start of a new phase.
+        ``ndshd2``), else on the other level, else it is a witness.  The
+        edge frame's edge is ``select_pending_edge()`` under both
+        strategies.  Each state is entered once, and the entry polls the
+        deadline.
         """
         s = self.state
         self._enter()
@@ -629,20 +629,16 @@ class _Engine:
             return None
         pending = s.pending
         vi = None if pending and self.first == "edge" else s.select_row()
-        level = "node" if vi is not None else "edge" if pending else None
-        if came_from == self.first and level != self.first:
-            self._enter()
-        if level == "node":
+        if vi is not None:
             stack.append(("node", vi, iter(s.node_candidates(vi))))
-        elif level == "edge":
-            edge = s.select_pending_edge() if self.first == "node" else min(pending.values())
+        elif pending:
+            edge = s.select_pending_edge()
             stack.append(("edge", edge, iter(s.path_candidates(edge))))
         else:
             return self._solution()
         return None
 
     def _enter(self):
-        self.stats.states_explored += 1
         if self._deadline is not None and time.monotonic() > self._deadline:
             raise SearchTimeout("search exceeded its deadline")
 

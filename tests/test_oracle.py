@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -82,6 +83,12 @@ class TestVerifyMapping:
         empty = LabeledGraph(0, {}, [])
         assert verify_mapping(empty, worked_data, 1, 1, Mapping({}, {}))
 
+    def test_invalid_window_is_an_error(self, worked_pattern, worked_data, worked_mapping):
+        # (0, -1) once came back as a length mismatch, not as an error
+        for l, h in ((0, -1), (0, 2), (3, 2), (1, 2.5), (True, 2)):
+            with pytest.raises(ValueError):
+                verify_mapping(worked_pattern, worked_data, l, h, worked_mapping)
+
 
 class TestBoundedSimplePaths:
     def test_worked_example_pair(self, worked_data):
@@ -93,6 +100,29 @@ class TestBoundedSimplePaths:
 
     def test_same_endpoints_yield_nothing(self, worked_data):
         assert bounded_simple_paths(worked_data, 2, 2, 1, 3) == []
+
+    def test_invalid_window_is_an_error(self, worked_data):
+        # (0, -1) once returned the one-edge path (1, 2)
+        for l, h in ((0, -1), (0, 2), (3, 2), (1, 2.5), (True, 2)):
+            for u, w in ((1, 2), (2, 2)):
+                with pytest.raises(ValueError):
+                    bounded_simple_paths(worked_data, u, w, l, h)
+
+    def test_depth_is_not_bounded_by_the_recursion_limit(self):
+        # The one path of a 3,000-vertex path graph, found with far fewer
+        # interpreter frames than its length to spare.
+        n = 3000
+        g = LabeledGraph(n, {v: "a" for v in range(1, n + 1)}, [(v, v + 1) for v in range(1, n)])
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 100)
+        try:
+            paths = bounded_simple_paths(g, 1, n, 1, n)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert paths == [tuple(range(1, n + 1))]
 
     def test_all_results_are_simple_bounded_paths(self, worked_data):
         for u, w in itertools.combinations(range(1, 10), 2):

@@ -194,13 +194,16 @@ class TestRefinement:
         for vi in (0, -1, worked_pattern.n + 1):
             rejected(s.push_node_match, vi, 2)
         rejected(s.push_node_match, 1, 5)  # 5 is in no row
+        # 2 is in row 1 and 1 in row 2, but a bool or float is no vertex id
+        for vi, vj in ((True, 2), (2, True), (1.0, 2), (1, 2.0)):
+            rejected(s.push_node_match, vi, vj)
         s.push_node_match(1, 2)
         rejected(s.push_node_match, 1, 2)  # vertex 1 is matched already
         rejected(s.push_path_match, (1, 2), p218)  # vertex 2 is unmatched
         s.push_node_match(2, 8)
         s.push_node_match(3, 6)
         rejected(s.push_path_match, (1, 3), p218)  # p218 joins the images of (1, 2)
-        for pid in (-1, len(store)):
+        for pid in (-1, len(store), float(p218), True):
             rejected(s.push_path_match, (1, 2), pid)
         s.push_path_match((1, 3), p296)
         rejected(s.push_path_match, (1, 2), p298)  # p296 killed it
@@ -305,13 +308,12 @@ class TestDetermination:
             assert w is not None and w.node_map == {1: 2}
 
     def test_empty_pattern_is_trivially_contained(self, worked_data):
-        # ndshd1 enters its edge level after the empty node level
         empty = LabeledGraph(0, {}, [])
         for g2 in (worked_data, empty):
-            for fn, states in ((ndshd1, 2), (ndshd2, 1)):
+            for fn in (ndshd1, ndshd2):
                 stats = SearchStats()
                 assert fn(empty, g2, 1, 2, stats=stats) == Mapping({}, {})
-                assert (stats.outcome, stats.states_explored) == (True, states)
+                assert (stats.outcome, stats.recursion_calls) == (True, 0)
             for strategy in ("ndshd1", "ndshd2"):
                 found = list(enumerate_all(empty, g2, 1, 2, strategy=strategy))
                 assert found == [Mapping({}, {})]
@@ -323,7 +325,7 @@ class TestDetermination:
             for fn in (ndshd1, ndshd2):
                 stats = SearchStats()
                 assert fn(pattern, empty, 1, 1, stats=stats) is None
-                assert (stats.outcome, stats.states_explored) == (False, 1)
+                assert (stats.outcome, stats.recursion_calls) == (False, 0)
             for strategy in ("ndshd1", "ndshd2"):
                 assert list(enumerate_all(pattern, empty, 1, 1, strategy=strategy)) == []
 
@@ -433,11 +435,11 @@ class TestDetermination:
             assert stats.outcome is None
             with monkeypatch.context() as m:
                 m.setattr(search._Engine, "_enter",
-                          expiring(lambda engine: engine.stats.states_explored >= 2))
+                          expiring(lambda engine: engine.stats.recursion_calls >= 2))
                 stats = SearchStats()
                 with pytest.raises(SearchTimeout, match="search exceeded"):
                     fn(worked_pattern, worked_data, 2, 2, stats=stats)
-            assert (stats.states_explored, stats.outcome) == (3, None)
+            assert (stats.recursion_calls, stats.outcome) == (2, None)
         pattern = LabeledGraph(2, {1: "a", 2: "a"}, [(1, 2)])
         data = LabeledGraph(4, {v: "a" for v in range(1, 5)}, [(1, 2), (2, 3), (3, 4), (1, 4)])
         expired = []
@@ -574,31 +576,31 @@ class TestSearchHygiene:
         finally:
             gc.enable()
 
-    # (call, l, h, outcome, recursion_calls, states_explored, max_depth,
-    #  backtracks, mean_backtrack_depth, trace as phase initial + depth per
+    # (call, l, h, outcome, recursion_calls, max_depth, backtracks,
+    #  mean_backtrack_depth, trace as phase initial + depth per
     #  attempted match), recorded from the recursive engine on the worked
-    #  example.  The engine must keep its call order: every state entry,
-    #  attempted match and backtrack lands on the same count.
+    #  example.  The engine must keep its call order: every attempted match
+    #  and backtrack lands on the same count.
     GOLDEN_STATS = [
-        ("ndshd1", 2, 2, True, 9, 11, 9, 0, 0.0, "n1 n2 n3 n4 e5 e6 e7 e8 e9"),
-        ("ndshd2", 2, 2, True, 9, 13, 9, 0, 0.0, "n1 n2 e3 n4 e5 e6 n7 e8 e9"),
-        ("enumerate_all", 2, 2, True, 10, 14, 9, 10, 4.8, "n1 n2 e3 n4 e5 e6 n7 e8 e9 e3"),
-        ("ndshd1", 3, 3, False, 0, 1, 0, 0, 0.0, ""),
-        ("ndshd2", 3, 3, False, 0, 1, 0, 0, 0.0, ""),
-        ("enumerate_all", 3, 3, False, 0, 1, 0, 0, 0.0, ""),
-        ("ndshd1", 1, 3, True, 9, 11, 9, 0, 0.0, "n1 n2 n3 n4 e5 e6 e7 e8 e9"),
-        ("ndshd2", 1, 3, True, 9, 13, 9, 0, 0.0, "n1 n2 e3 n4 e5 e6 n7 e8 e9"),
-        ("enumerate_all", 1, 3, True, 27, 37, 9, 27, 6.666667,
+        ("ndshd1", 2, 2, True, 9, 9, 0, 0.0, "n1 n2 n3 n4 e5 e6 e7 e8 e9"),
+        ("ndshd2", 2, 2, True, 9, 9, 0, 0.0, "n1 n2 e3 n4 e5 e6 n7 e8 e9"),
+        ("enumerate_all", 2, 2, True, 10, 9, 10, 4.8, "n1 n2 e3 n4 e5 e6 n7 e8 e9 e3"),
+        ("ndshd1", 3, 3, False, 0, 0, 0, 0.0, ""),
+        ("ndshd2", 3, 3, False, 0, 0, 0, 0.0, ""),
+        ("enumerate_all", 3, 3, False, 0, 0, 0, 0.0, ""),
+        ("ndshd1", 1, 3, True, 9, 9, 0, 0.0, "n1 n2 n3 n4 e5 e6 e7 e8 e9"),
+        ("ndshd2", 1, 3, True, 9, 9, 0, 0.0, "n1 n2 e3 n4 e5 e6 n7 e8 e9"),
+        ("enumerate_all", 1, 3, True, 27, 9, 27, 6.666667,
          "n1 n2 e3 n4 e5 e6 n7 e8 e9 n7 e8 e9 n7 e8 e9 n4 e5 e6 n7 e8 e9 n7 e8 e9 n7 e8 e9"),
-        ("enumerate_all/ndshd1", 1, 3, True, 40, 47, 9, 40, 6.075,
+        ("enumerate_all/ndshd1", 1, 3, True, 40, 9, 40, 6.075,
          "n1 n2 n3 n4 e5 e6 e7 e8 e9 n4 e5 e6 e7 e8 e9 n4 e5 e6 e7 e8 e9 "
          "n3 n4 e5 e6 e7 e8 e9 n4 e5 e6 e7 e8 e9 n4 e5 e6 e7 e8 e9"),
     ]
 
-    @pytest.mark.parametrize("call,l,h,outcome,calls,states,max_depth,backtracks,mean_bt,trace",
+    @pytest.mark.parametrize("call,l,h,outcome,calls,max_depth,backtracks,mean_bt,trace",
                              GOLDEN_STATS)
     def test_golden_stats_pin_the_call_order(self, worked_pattern, worked_data, call, l, h,
-                                             outcome, calls, states, max_depth, backtracks,
+                                             outcome, calls, max_depth, backtracks,
                                              mean_bt, trace):
         stats = SearchStats(trace=[])
         if call == "ndshd1":
@@ -613,7 +615,6 @@ class TestSearchHygiene:
         assert stats.as_dict(include_timing=False) == {
             "outcome": outcome,
             "recursion_calls": calls,
-            "states_explored": states,
             "max_depth": max_depth,
             "backtracks": backtracks,
             "mean_backtrack_depth": mean_bt,
@@ -621,20 +622,21 @@ class TestSearchHygiene:
                       for i, step in enumerate(steps, 1)],
         }
 
-    # (call, outcome, recursion_calls, states_explored, max_depth, backtracks,
+    # (call, outcome, recursion_calls, max_depth, backtracks,
     #  mean_backtrack_depth), recorded before refinement kept a record of
-    #  verified cells: most of the time of these searches goes to refinement,
-    #  so a cell cleared or kept differently changes the counts.
+    #  verified cells (the ndshd2 enumeration since it takes the fewest-paths
+    #  edge): most of the time of these searches goes to refinement, so a
+    #  cell cleared or kept differently changes the counts.
     GOLDEN_REFINE_STATS = [
-        ("ndshd1", True, 79, 81, 79, 0, 0.0),
-        ("ndshd2", True, 79, 116, 79, 0, 0.0),
-        ("enumerate_all/ndshd2", True, 260, 359, 10, 250, 7.432),
-        ("enumerate_all/ndshd1", True, 695, 854, 10, 685, 6.360584),
+        ("ndshd1", True, 79, 79, 0, 0.0),
+        ("ndshd2", True, 79, 79, 0, 0.0),
+        ("enumerate_all/ndshd2", True, 253, 10, 243, 7.444444),
+        ("enumerate_all/ndshd1", True, 695, 10, 685, 6.360584),
     ]
 
-    @pytest.mark.parametrize("call,outcome,calls,states,max_depth,backtracks,mean_bt",
+    @pytest.mark.parametrize("call,outcome,calls,max_depth,backtracks,mean_bt",
                              GOLDEN_REFINE_STATS)
-    def test_golden_stats_on_refinement_heavy_inputs(self, call, outcome, calls, states,
+    def test_golden_stats_on_refinement_heavy_inputs(self, call, outcome, calls,
                                                      max_depth, backtracks, mean_bt):
         stats = SearchStats()
         if call in ("ndshd1", "ndshd2"):
@@ -655,28 +657,28 @@ class TestSearchHygiene:
         assert stats.as_dict(include_timing=False) == {
             "outcome": outcome,
             "recursion_calls": calls,
-            "states_explored": states,
             "max_depth": max_depth,
             "backtracks": backtracks,
             "mean_backtrack_depth": mean_bt,
         }
 
     # The inputs above at a witness cap of 2, where the cap decides most kept
-    # cells: (call, outcome, recursion_calls, states_explored, max_depth,
-    # backtracks, mean_backtrack_depth, sha256 prefix of the trace written
-    # as in GOLDEN_STATS), recorded before witness picking became one loop.
+    # cells: (call, outcome, recursion_calls, max_depth, backtracks,
+    # mean_backtrack_depth, sha256 prefix of the trace written as in
+    # GOLDEN_STATS), recorded before witness picking became one loop (the
+    # ndshd2 enumeration since it takes the fewest-paths edge).
     # Any change to the requirement order, the path order within a
     # requirement or what the cap counts changes some of these.
     GOLDEN_CAP2_STATS = [
-        ("ndshd1", True, 79, 81, 79, 0, 0.0, "7e3128ec86d10502"),
-        ("ndshd2", True, 79, 115, 79, 0, 0.0, "2450dd675a141b6e"),
-        ("enumerate_all/ndshd2", True, 266, 365, 10, 256, 7.375, "ef93c77b1b479368"),
-        ("enumerate_all/ndshd1", True, 711, 874, 10, 701, 6.326676, "3dd334925c51845e"),
+        ("ndshd1", True, 79, 79, 0, 0.0, "7e3128ec86d10502"),
+        ("ndshd2", True, 79, 79, 0, 0.0, "2450dd675a141b6e"),
+        ("enumerate_all/ndshd2", True, 259, 10, 249, 7.385542, "0c3e6e5849d5fe6b"),
+        ("enumerate_all/ndshd1", True, 711, 10, 701, 6.326676, "3dd334925c51845e"),
     ]
 
-    @pytest.mark.parametrize("call,outcome,calls,states,max_depth,backtracks,mean_bt,trace",
+    @pytest.mark.parametrize("call,outcome,calls,max_depth,backtracks,mean_bt,trace",
                              GOLDEN_CAP2_STATS)
-    def test_golden_stats_at_a_small_witness_cap(self, call, outcome, calls, states,
+    def test_golden_stats_at_a_small_witness_cap(self, call, outcome, calls,
                                                  max_depth, backtracks, mean_bt, trace):
         stats = SearchStats(trace=[])
         if call in ("ndshd1", "ndshd2"):
@@ -702,7 +704,6 @@ class TestSearchHygiene:
         assert got == {
             "outcome": outcome,
             "recursion_calls": calls,
-            "states_explored": states,
             "max_depth": max_depth,
             "backtracks": backtracks,
             "mean_backtrack_depth": mean_bt,
@@ -796,26 +797,30 @@ def _instances(draw):
 @given(instance=_instances())
 def test_each_strategy_leaves_its_first_level_only_when_it_is_done(instance):
     """The successor rule: ``ndshd1`` pushes no path match while a row is
-    unmatched, and ``ndshd2`` no node match while an edge is pending."""
+    unmatched, and ``ndshd2`` no node match while an edge is pending.  Both
+    push every path match on the edge ``select_pending_edge()`` names."""
     g1, g2, l, h = instance
     node_push, path_push = MatchState.push_node_match, MatchState.push_path_match
     pushes = []
 
     def push_node(s, vi, vj):
-        pushes.append(("node", len(s.node_image) < s.g1.n, bool(s.pending)))
+        pushes.append(("node", len(s.node_image) < s.g1.n, bool(s.pending), True))
         return node_push(s, vi, vj)
 
     def push_path(s, edge, pid):
-        pushes.append(("edge", len(s.node_image) < s.g1.n, bool(s.pending)))
+        pushes.append(("edge", len(s.node_image) < s.g1.n, bool(s.pending),
+                       edge == s.select_pending_edge()))
         return path_push(s, edge, pid)
 
     with mock.patch.multiple(MatchState, push_node_match=push_node,
                              push_path_match=push_path):
         list(enumerate_all(g1, g2, l, h, strategy="ndshd1"))
-        assert ("edge", True) not in {(level, unmatched) for level, unmatched, _ in pushes}
+        assert ("edge", True) not in {(level, unmatched) for level, unmatched, _, _ in pushes}
+        assert all(selected for *_, selected in pushes)
         pushes.clear()
         list(enumerate_all(g1, g2, l, h, strategy="ndshd2"))
-        assert ("node", True) not in {(level, pending) for level, _, pending in pushes}
+        assert ("node", True) not in {(level, pending) for level, _, pending, _ in pushes}
+        assert all(selected for *_, selected in pushes)
 
 
 _CAPS = st.sampled_from([0, 1, search.WITNESS_CAP])

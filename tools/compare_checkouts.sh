@@ -7,10 +7,14 @@
 # OUTDIR/parent/outputs and OUTDIR/change/outputs, and CHANGE's
 # tools/layer_counts.sh into OUTDIR/parent/counts and OUTDIR/change/counts,
 # so a case that CHANGE adds to its tools runs on both sides.  Prints
-# `diff -r` of each pair of trees, then each module's `tools/code_lines.sh`
-# count and the total, counted by CHANGE's copy, as `parent change name`
-# lines (`-` for a module one side lacks).  Exits 0 only when both pairs of
-# trees are identical, 1 when either differs.
+# `diff -r` of each pair of trees; then, for each runs or summary CSV that
+# the two outputs trees hold with different bytes, one line naming the
+# columns whose values differ (matched by header name, rows by position),
+# the columns only one side has and, if they differ, both row counts; then
+# each module's `tools/code_lines.sh` count and the total, counted by
+# CHANGE's copy, as `parent change name` lines (`-` for a module one side
+# lacks).  Exits 0 only when both pairs of trees are identical, 1 when
+# either differs.
 #
 # layer_counts.sh runs perfbench's traced pass (`perfbench/run.py --trace 1`)
 # in each checkout, which rewrites the git-ignored
@@ -51,6 +55,37 @@ for tree in outputs counts; do
     echo "== diff -r parent/$tree change/$tree"
     diff -r "$out/parent/$tree" "$out/change/$tree" || same=1
 done
+echo "== CSV columns that differ: file, then moved / only parent / only change"
+python3 - "$out/parent/outputs" "$out/change/outputs" <<'EOF'
+import csv
+import sys
+from pathlib import Path
+
+parent, change = Path(sys.argv[1]), Path(sys.argv[2])
+
+
+def read(path):
+    with path.open(newline="") as fh:
+        rows = csv.DictReader(fh)
+        return rows.fieldnames or [], list(rows)
+
+
+for a in sorted(parent.glob("*.csv")):
+    b = change / a.name
+    if not b.is_file() or a.read_bytes() == b.read_bytes():
+        continue
+    (head_a, rows_a), (head_b, rows_b) = read(a), read(b)
+    moved = [c for c in head_a if c in head_b
+             and any(x[c] != y[c] for x, y in zip(rows_a, rows_b))]
+    parts = [f"moved: {' '.join(moved) or '-'}"]
+    for side, head, other in (("parent", head_a, head_b), ("change", head_b, head_a)):
+        only = [c for c in head if c not in other]
+        if only:
+            parts.append(f"only {side}: {' '.join(only)}")
+    if len(rows_a) != len(rows_b):
+        parts.append(f"rows: {len(rows_a)} parent, {len(rows_b)} change")
+    print(f"{a.name}  " + "  ".join(parts))
+EOF
 parent_lines=$(bash "$change/tools/code_lines.sh" "$parent")
 change_lines=$(bash "$change/tools/code_lines.sh" "$change")
 echo "== code lines: parent change module"
