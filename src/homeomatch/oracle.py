@@ -119,9 +119,13 @@ def bounded_simple_paths(g: LabeledGraph, u: int, w: int, l: int, h: int) -> lis
 
     The DFS keeps one neighbour iterator per path vertex on an explicit
     stack, so a path's length is not bounded by Python's recursion limit.
-    Raises ValueError for an invalid window.
+    Raises ValueError for an invalid window, and for an end that is not
+    an int, is a bool or is not a vertex of ``g``.
     """
     check_window(l, h)
+    for v in (u, w):
+        if type(v) is not int or not 1 <= v <= g.n:
+            raise ValueError(f"path end {v!r} is not a vertex of the graph")
     if u == w:
         return []
     out: list[tuple[int, ...]] = []

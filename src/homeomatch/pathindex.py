@@ -3,11 +3,11 @@
 Holds every simple path of the data graph whose length lies in [l, h]
 and whose two ends are both candidate branch nodes; inner vertices are
 unrestricted.  Each undirected path is stored once, oriented from its
-smaller end, under a per-endpoint-pair list.  The enumeration only
-records path tuples and pair lists; one bulk pass after it fills the
-alive flags, the per-pair alive counters (the independent-path count
-matrix consulted by the search), the reachability sets and the
-per-end and per-inner-vertex lists.  Removal batches flip alive flags
+smaller end, under a per-endpoint-pair list.  The enumeration files
+each path id under its pair, its two ends and its inner vertices as it
+emits the path; the store then adds the alive flags, the per-pair alive
+counters (the independent-path count matrix consulted by the search)
+and the reachability sets.  Removal batches flip alive flags
 and return tokens; undoing tokens in reverse order restores the alive
 flags, counters and reachability sets exactly, which is what
 backtracking relies on.  A token also tells its caller what the batch
@@ -39,10 +39,12 @@ __all__ = [
     "enumerate_paths",
 ]
 
-# Stored paths a build may hold.  Set-up peaks at 214-324 bytes per stored
-# path for h = 3 to 8, so the largest index allowed takes about 1 GiB.
+# Stored paths a build may hold.  Set-up peaks at 249-302 bytes per stored
+# path for h = 3 to 8 (random graphs of 300-400 vertices holding 106k-305k
+# paths), so the largest index allowed takes under 1 GiB.
 MAX_PATHS = 3_000_000
-# DFS descents between two polls of the deadline and the path budget.
+# DFS descents and last-hop batches between two polls of the deadline and
+# the path budget.
 _POLL_EVERY = 1024
 
 
@@ -84,7 +86,9 @@ class PathStore:
 
     Besides the pair counters, the store tracks per endpoint the set of
     opposite endpoints still joined to it by an alive path, which gives
-    the refinement an O(1) reachability test.
+    the refinement an O(1) reachability test.  The path tuples and the
+    id lists come from ``enumerate_paths``, which builds them in its
+    one DFS pass.
 
     A removal batch kills exactly the alive paths running through the
     vertices it takes, that is, having one of them strictly inside.
@@ -104,31 +108,31 @@ class PathStore:
                  "_reach", "witness_tries")
 
     def __init__(self, candidates, verts: list[tuple[int, ...]],
-                 by_pair: dict[tuple[int, int], list[int]]):
-        """Index the enumerated paths in one pass; every path starts alive.
+                 by_pair: dict[tuple[int, int], list[int]],
+                 by_end: dict[int, list[int]], by_inner: dict[int, list[int]],
+                 partners: dict[int, list[int]]):
+        """Take over the enumerated lists; every path starts alive.
 
         ``verts`` holds each path oriented from its smaller end, and
-        ``by_pair`` maps each end pair to its path ids, ascending.  Ids are
-        visited in ascending order, so every per-vertex list is ascending.
+        ``by_pair``, ``by_end`` and ``by_inner`` map each end pair, end and
+        inner vertex to the ids of its paths, ascending.  ``partners`` maps
+        each candidate to the opposite ends of its pairs, each once; the
+        store turns its lists into the reachability sets in place.
         """
         self.candidates = tuple(sorted(candidates))
         self._verts = verts
         self.by_pair = by_pair
         self._alive = bytearray(b"\x01") * len(verts)
         self._pair_alive = {key: len(pids) for key, pids in by_pair.items()}
-        self._reach: dict[int, set[int]] = {v: set() for v in self.candidates}
-        for u, w in by_pair:
-            self._reach[u].add(w)
-            self._reach[w].add(u)
-        by_end: defaultdict[int, list[int]] = defaultdict(list)
-        by_inner: defaultdict[int, list[int]] = defaultdict(list)
-        for pid, path in enumerate(verts):
-            by_end[path[0]].append(pid)
-            by_end[path[-1]].append(pid)
-            for x in path[1:-1]:
-                by_inner[x].append(pid)
-        self._by_end = dict(by_end)
-        self._by_inner = dict(by_inner)
+        # A set built from a dict is sized once for its final length; one
+        # grown by add ends in a table up to twice as large.  Undo never
+        # grows a set past this size.  Converting in place frees each
+        # partner list as soon as its set is built.
+        for v, ws in partners.items():
+            partners[v] = set(dict.fromkeys(ws))
+        self._reach: dict[int, set[int]] = partners
+        self._by_end = by_end
+        self._by_inner = by_inner
         self.witness_tries = 0
 
     def __len__(self) -> int:
@@ -336,14 +340,17 @@ def enumerate_paths(g2, candidates, l: int, h: int,
 
     Bounded DFS from every candidate vertex; a path is emitted when the
     far end is a candidate with a larger id, which canonicalizes the
-    orientation.  Inner vertices may be non-candidates.  The DFS only
-    appends path tuples and pair lists; the ``PathStore`` constructor
-    builds the rest in one pass afterwards.  Every 1,024 DFS descents and
-    after each source vertex, the build polls ``deadline``, a
-    ``time.monotonic`` value, and the path budget: past the deadline it
-    raises ``SearchTimeout``, and with more than ``MAX_PATHS`` paths
-    stored ``IndexTooLarge``.  The poll after the last source counts
-    every path, so no store over the budget is built.
+    orientation, so path ids follow the sorted order of the path tuples.
+    Inner vertices may be non-candidates.  At depth ``h - 1`` the DFS
+    does not descend: it emits the last hops straight from the vertex's
+    candidate neighbours above the source.  Each emitted path's id goes
+    to its pair list, its two end lists and the list of each inner
+    vertex, and the ``PathStore`` takes those lists over.  Every 1,024
+    descents or last-hop batches and after each source vertex, the build
+    polls ``deadline``, a ``time.monotonic`` value, and the path budget:
+    past the deadline it raises ``SearchTimeout``, and with more than
+    ``MAX_PATHS`` paths stored ``IndexTooLarge``.  The poll after the
+    last source counts every path, so no store over the budget is built.
 
     A candidate that is not an int, is a bool, is not a data vertex or
     repeats raises ``ValueError``, as do a bad window and a deadline that
@@ -361,14 +368,27 @@ def enumerate_paths(g2, candidates, l: int, h: int,
     sources = tuple(sorted(cand))
     verts: list[tuple[int, ...]] = []
     by_pair: dict[tuple[int, int], list[int]] = {}
+    by_end: defaultdict[int, list[int]] = defaultdict(list)
+    by_inner: defaultdict[int, list[int]] = defaultdict(list)
+    partners: dict[int, list[int]] = {v: [] for v in sources}
     adj = g2._adj  # hot loop; skips the per-call bounds check of neighbors()
+    # Each vertex's candidate neighbours, ascending since sources are.
+    cand_adj: list[list[int]] = [[] for _ in adj]
+    for s in sources:
+        for x in adj[s]:
+            cand_adj[x].append(s)
+    last = h - 1  # the depth from which the last hops are emitted in one batch
     descents = _POLL_EVERY  # until the next poll
     # An explicit stack of neighbor iterators, one per path vertex whose
     # neighbors are still being walked.  A recursive nested function would
     # sit in a reference cycle with its own closure, which keeps the path
     # table alive after the store is dropped, until some later cyclic
-    # garbage collection frees it.
+    # garbage collection frees it.  Each path id is one int object, shared
+    # by every list that holds it.
     for s in sources:
+        ends = by_end[s]
+        # This source's pair lists by far end: no pair tuple is built per path.
+        row: dict[int, list[int]] = {}
         path = [s]
         on_path = {s}
         stack = [iter(adj[s])]
@@ -376,27 +396,60 @@ def enumerate_paths(g2, candidates, l: int, h: int,
             for w in stack[-1]:
                 if w in on_path:
                     continue
-                path.append(w)
-                nd = len(path) - 1
+                nd = len(path)  # the depth of w
                 if nd >= l and w > s and w in cand:
-                    key = (s, w)
-                    pids = by_pair.get(key)
+                    pid = len(verts)
+                    verts.append((*path, w))
+                    pids = row.get(w)
                     if pids is None:
-                        by_pair[key] = [len(verts)]
+                        row[w] = [pid]
                     else:
-                        pids.append(len(verts))
-                    verts.append(tuple(path))
-                if nd < h:
+                        pids.append(pid)
+                    ends.append(pid)
+                    by_end[w].append(pid)
+                    for x in path[1:]:
+                        by_inner[x].append(pid)
+                if nd > last:  # h = 1: every path is an edge at the source
+                    continue
+                descents -= 1
+                if not descents:
+                    _poll(deadline, len(verts))
+                    descents = _POLL_EVERY
+                if nd < last:
+                    path.append(w)
                     on_path.add(w)
                     stack.append(iter(adj[w]))
-                    descents -= 1
-                    if not descents:
-                        _poll(deadline, len(verts))
-                        descents = _POLL_EVERY
                     break
-                path.pop()
+                # Depth h - 1: each last hop goes straight to a candidate above
+                # s; the batch's ids go to each inner list in one extend.
+                c = cand_adj[w]
+                if not c or c[-1] <= s:
+                    continue
+                prefix = (*path, w)
+                batch = []
+                for y in c:
+                    if y <= s or y in on_path:
+                        continue
+                    pid = len(verts)
+                    batch.append(pid)
+                    ends.append(pid)
+                    verts.append(prefix + (y,))
+                    pids = row.get(y)
+                    if pids is None:
+                        row[y] = [pid]
+                    else:
+                        pids.append(pid)
+                    by_end[y].append(pid)
+                if batch:
+                    for x in prefix[1:]:
+                        by_inner[x].extend(batch)
             else:
                 stack.pop()
                 on_path.remove(path.pop())
+        for w, pids in row.items():
+            by_pair[(s, w)] = pids
+            partners[w].append(s)
+        partners[s].extend(row)
         _poll(deadline, len(verts))
-    return PathStore(sources, verts, by_pair)
+    del cand_adj  # out of the store's peak
+    return PathStore(sources, verts, by_pair, dict(by_end), dict(by_inner), partners)

@@ -108,6 +108,12 @@ class TestBoundedSimplePaths:
                 with pytest.raises(ValueError):
                     bounded_simple_paths(worked_data, u, w, l, h)
 
+    def test_invalid_end_is_an_error(self, worked_data):
+        # (True, 2) once returned the path (True, 2); the others returned []
+        for u, w in ((True, 2), (2, True), (1, 99), (99, 99), (0, 0), (1.0, 2)):
+            with pytest.raises(ValueError, match="is not a vertex of the graph"):
+                bounded_simple_paths(worked_data, u, w, 1, 2)
+
     def test_depth_is_not_bounded_by_the_recursion_limit(self):
         # The one path of a 3,000-vertex path graph, found with far fewer
         # interpreter frames than its length to spare.

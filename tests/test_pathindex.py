@@ -73,14 +73,27 @@ class TestEnumeratePaths:
         assert {store.vertices(p) for p in range(3)} == {(1, 2), (1, 3), (2, 3)}
 
     def test_matches_exhaustive_enumeration_on_random_graphs(self):
+        # Every window 1 <= l <= h <= 4.  Path ids follow the sorted order of
+        # the path tuples, and the per-end and per-inner lists hold exactly
+        # their paths, ascending: a removal kills in per-inner list order.
+        pathless = 0
         for seed in range(30):
             rng = random.Random(seed)
             g = random_labeled_graph(rng.randint(4, 10), rng.uniform(1.5, 3.0), 3, seed)
             cands = tuple(v for v in g.vertices if v % 2 == 1)
-            l, h = 1, rng.randint(1, 3)
-            store = enumerate_paths(g, cands, l, h)
-            got = {store.vertices(p) for p in range(len(store))}
-            assert got == all_bounded_pairs(g, cands, l, h), seed
+            for h in range(1, 5):
+                for l in range(1, h + 1):
+                    store = enumerate_paths(g, cands, l, h)
+                    got = [store.vertices(p) for p in range(len(store))]
+                    assert got == sorted(all_bounded_pairs(g, cands, l, h)), (seed, l, h)
+                    assert_derived_structures(store)
+                    pathless += sum(not store.paths_ending_at(v) for v in cands)
+                    for x in g.vertices:
+                        token = store.remove_paths_through_vertex(x)
+                        assert list(token.killed) == [
+                            p for p in range(len(store)) if x in store.inner(p)], (seed, l, h, x)
+                        store.undo(token)
+        assert pathless
 
     def test_no_stored_end_outside_candidates(self, worked_pattern, worked_data):
         m0 = CompatibleMatrix.initial(worked_pattern, worked_data)
@@ -264,7 +277,7 @@ class TestRemovalAndUndo:
 
 
 def assert_derived_structures(store, last=None, token=None):
-    """Check the structures the build's bulk pass fills against a full recount.
+    """Check the structures the build fills against a full recount.
 
     ``last`` is what the previous call returned, with exactly one removal
     batch or undo run since.  ``token`` is that removal batch's token, or

@@ -12,7 +12,10 @@
 # OUT.json holds, per workload, the seeds, the operations attempted and
 # failed per run, and per end-to-end metric each side's median, q1, q3
 # (inclusive quartiles) and runs, the pairs the change won (by the
-# metric's "better" direction) and the change/parent median ratio.
+# metric's "better" direction), the change/parent median ratio, each
+# pair's change/parent ratio (null where the parent run reads 0) and the
+# median of those pair ratios.  The pair ratios state the result without
+# relying on absolute medians, which drift from session to session.
 # Exits 1 if any run fails: a run that exits non-zero stops the tool at
 # once, and one that reports failed operations is written out first.
 set -euo pipefail
@@ -88,6 +91,10 @@ for w in spec["workloads"]:
         m["change_better_pairs"] = won
         m["median_ratio"] = round(statistics.median(runs["change"])
                                   / statistics.median(runs["parent"]), 4)
+        ratios = [round(c / p, 4) if p else None for p, c in zip(runs["parent"], runs["change"])]
+        defined = [r for r in ratios if r is not None]
+        m["pair_ratios"] = ratios
+        m["median_pair_ratio"] = round(statistics.median(defined), 4) if defined else None
     report["workloads"][workload] = entry
 out.write_text(json.dumps(report, indent=2) + "\n")
 sys.exit(1 if failed_any else 0)
