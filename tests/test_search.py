@@ -538,11 +538,6 @@ class TestEnumeration:
             assert verify_mapping(worked_pattern, worked_data, 1, 3, m)
 
 
-def _heavy_input_id(call):
-    """Test id of a refinement-heavy golden case: its call and window."""
-    return f"{call}-l1-h2" if call in ("ndshd1", "ndshd2") else f"{call}-l2-h3"
-
-
 class TestSearchHygiene:
     def test_inputs_and_state_unmodified_after_search(self, worked_pattern, worked_data):
         s = MatchState.create(worked_pattern, worked_data, 2, 2)
@@ -602,10 +597,8 @@ class TestSearchHygiene:
          "n3 n4 e5 e6 e7 e8 e9 n4 e5 e6 e7 e8 e9 n4 e5 e6 e7 e8 e9"),
     ]
 
-    # Ids name the call and window only, so restating a count keeps the name.
     @pytest.mark.parametrize("call,l,h,outcome,calls,max_depth,backtracks,mean_bt,trace",
-                             GOLDEN_STATS,
-                             ids=[f"{call}-l{l}-h{h}" for call, l, h, *_ in GOLDEN_STATS])
+                             GOLDEN_STATS)
     def test_golden_stats_pin_the_call_order(self, worked_pattern, worked_data, call, l, h,
                                              outcome, calls, max_depth, backtracks,
                                              mean_bt, trace):
@@ -642,8 +635,7 @@ class TestSearchHygiene:
     ]
 
     @pytest.mark.parametrize("call,outcome,calls,max_depth,backtracks,mean_bt",
-                             GOLDEN_REFINE_STATS,
-                             ids=[_heavy_input_id(row[0]) for row in GOLDEN_REFINE_STATS])
+                             GOLDEN_REFINE_STATS)
     def test_golden_stats_on_refinement_heavy_inputs(self, call, outcome, calls,
                                                      max_depth, backtracks, mean_bt):
         stats = SearchStats()
@@ -685,8 +677,7 @@ class TestSearchHygiene:
     ]
 
     @pytest.mark.parametrize("call,outcome,calls,max_depth,backtracks,mean_bt,trace",
-                             GOLDEN_CAP2_STATS,
-                             ids=[_heavy_input_id(row[0]) for row in GOLDEN_CAP2_STATS])
+                             GOLDEN_CAP2_STATS)
     def test_golden_stats_at_a_small_witness_cap(self, call, outcome, calls,
                                                  max_depth, backtracks, mean_bt, trace):
         stats = SearchStats(trace=[])
